@@ -15,6 +15,7 @@ usage errors.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -290,25 +291,23 @@ def _cmd_verify(args):
                 f"network metadata lacks {key!r}; only networks written by "
                 f"synth carry re-checkable budgets")
     sampler = _sampler_from_args(args, net.input_dim)
-    pts = sampler.points(net.input_dim)
-
-    body = nc.ReluNetwork(net.input_dim, net.layers[:-1]) \
-        if len(net.layers) > 1 else None
     family = op.make_family(meta.get("family", "shifted_legendre"))
     budgets = {tuple(int(v) for v in k.split(",")): e
                for k, e in meta["epsilon"].items()}
     indices = [tuple(int(v) for v in nu) for nu in meta["index_set"]]
     live = [nu for nu in indices if sum(nu) != 0]
 
-    checks = []
-    worst = 0.0
-    if body is not None and live:
-        member_errs = _member_errors(body, live, family, pts, budgets)
-        for nu, err, eps in member_errs:
-            ok = err <= eps * (1.0 + 1e-9) + 1e-28
+    checks, worst = [], 0.0
+    if net.depth > 1 and live:
+        bound_rhs = len(indices) * math.exp(-meta["global_exponent"])
+        errors, _ = synthmod.measure_errors(
+            net, live, family, sampler.points(net.input_dim),
+            synthmod.choose_precision(bound_rhs, budgets))
+        for nu in live:
+            err, eps = errors[nu], budgets[nu]
             worst = max(worst, err / eps if eps > 0 else np.inf)
             checks.append({"nu": list(nu), "measured": err, "budget": eps,
-                           "passed": bool(ok)})
+                           "passed": synthmod.within_budget(err, eps)})
     failed = [c for c in checks if not c["passed"]]
     doc = {"network": args.network,
            "points": sampler.to_json_dict(),
@@ -321,26 +320,6 @@ def _cmd_verify(args):
             f"{len(failed)} subnetwork(s) exceed their recorded budgets; "
             f"first offender nu={failed[0]['nu']}")
     return 0
-
-
-def _member_errors(body, live, family, pts, budgets):
-    from . import ddfloat as dd
-    mode = "dd" if min(budgets[nu] for nu in live) < 1e-12 else "float64"
-    out = []
-    if mode == "dd":
-        hi, lo = body.forward_dd(pts)
-        for j, nu in enumerate(live):
-            rh, rl = op.eval_tensor_dd(family, nu, pts)
-            dh, dl = dd.sub_dd(hi[:, j], lo[:, j], rh, rl)
-            ah, _ = dd.abs_dd(dh, dl)
-            out.append((nu, float(np.max(ah)), budgets[nu]))
-    else:
-        got = body.forward(pts)
-        for j, nu in enumerate(live):
-            ref = op.eval_tensor(family, nu, pts)
-            err = float(np.max(np.abs(got[:, j] - ref)))
-            out.append((nu, err, budgets[nu]))
-    return out
 
 
 def _parse_m_list(text):

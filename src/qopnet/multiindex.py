@@ -354,9 +354,6 @@ class QuasiOptimalIndexSet:
     def dim(self):
         return len(self.indices[0]) if self.indices else 0
 
-    def __contains__(self, nu):
-        return tuple(nu) in set(self.indices)
-
     def to_json_dict(self):
         return {"M": self.m, "J": self.threshold,
                 "indices": [list(nu) for nu in self.indices]}

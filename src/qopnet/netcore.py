@@ -35,6 +35,8 @@ ACT_RELU = "relu"
 ACT_LINEAR = "linear"
 
 _DENSE_DOC_LIMIT = 16384  # rows*cols above this serialize as coordinates
+_EXACT_MIN, _EXACT_MAX = 2.0 ** -900, 2.0 ** 900  # forward_dd exact range
+_DD_BATCH_BYTES = 2 ** 18  # dd temporaries this small stay in cache
 
 
 class Layer:
@@ -94,12 +96,8 @@ class Layer:
         return z
 
     def _groups(self):
-        """Per-rank CSR slices: the k-th stored entry of every row.
-
-        Grouping by rank keeps the accumulation order of each row identical
-        to the sequential stored-order dot product while letting the
-        double-double pass vectorize across rows and points.
-        """
+        """Rank slices (the k-th stored entry of every row: stored-order sums,
+        vectorized over rows) and whether every weight is +-2^e, |e| <= 100."""
         if self._dd_groups is None:
             indptr = self.weights.indptr
             counts = np.diff(indptr)
@@ -108,17 +106,35 @@ class Layer:
                 rows = np.nonzero(counts > k)[0]
                 at = indptr[rows] + k
                 groups.append((rows, self.weights.indices[at],
-                               self.weights.data[at]))
-            self._dd_groups = groups
+                               self.weights.data[at][:, None]))
+            mant, expo = np.frexp(self.weights.data)
+            exact = bool(np.all((np.abs(mant) == 0.5) & (np.abs(expo) <= 100)))
+            self._dd_groups = (groups, exact)
         return self._dd_groups
 
     def forward_dd(self, x_hi, x_lo):
-        """Double-double forward pass, same contract as forward."""
+        """Double-double forward pass, same contract as forward.
+
+        For power-of-two weights w the Dekker error term in dd.mul_f64 is
+        +0.0, so its product is quick_two_sum(x_hi*w, 0.0 + x_lo*w) bit for
+        bit, signed zeros included, while no product leaves the normal
+        range: a batch with a nonzero |x_hi| outside [2^-900, 2^900], or a
+        non-finite one, takes dd.mul_f64.
+        """
+        groups, exact = self._groups()
+        if exact:
+            mag = np.abs(x_hi)
+            exact = bool(np.all((mag == 0.0) | ((mag >= _EXACT_MIN)
+                                                & (mag <= _EXACT_MAX))))
         npts = x_hi.shape[1]
         acc_hi = np.repeat(self.bias[:, None], npts, axis=1)
         acc_lo = np.zeros_like(acc_hi)
-        for rows, cols, w in self._groups():
-            t_hi, t_lo = dd.mul_f64(x_hi[cols], x_lo[cols], w[:, None])
+        for rows, cols, w in groups:
+            if exact:
+                t_hi, t_lo = dd.quick_two_sum(x_hi[cols] * w,
+                                              0.0 + x_lo[cols] * w)
+            else:
+                t_hi, t_lo = dd.mul_f64(x_hi[cols], x_lo[cols], w)
             acc_hi[rows], acc_lo[rows] = dd.add_dd(
                 acc_hi[rows], acc_lo[rows], t_hi, t_lo)
         if self.relu_rows.any():
@@ -173,13 +189,16 @@ class ReluNetwork:
         return np.concatenate(outs, axis=0)
 
     def forward_dd(self, points, chunk=1024):
-        """Double-double batch forward pass -> (hi, lo) arrays."""
+        """Double-double forward pass -> (hi, lo), in batches of at most chunk
+        points and, at the widest layer, about _DD_BATCH_BYTES per array."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.input_dim:
             raise DimensionMismatchError(
                 f"points have {pts.shape[1]} coordinates, "
                 f"network expects {self.input_dim}")
         his, los = [], []
+        widest = max(1, *(layer.units for layer in self.layers))
+        chunk = min(chunk, max(16, _DD_BATCH_BYTES // (8 * widest)))
         for start in range(0, pts.shape[0], chunk):
             hi = pts[start:start + chunk].T.copy()
             lo = np.zeros_like(hi)

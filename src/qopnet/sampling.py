@@ -1,9 +1,11 @@
 """Deterministic point samplers for sup-norm measurement on [0,1]^d.
 
-Low dimensions use tensor grids whose axis counts are 2^k + 1, so every
-dyadic breakpoint and midpoint of the sawtooth gadgets is hit exactly.
-Higher dimensions switch to a seeded Halton sequence; the seed is an
-explicit field, never the wall clock.
+Low dimensions use tensor grids: 1025 = 2^10 + 1 points in d=1 and 101
+points per axis in d=2.  Higher dimensions switch to a seeded Halton
+sequence; the seed is an explicit field, never the wall clock.
+
+A sampled sup is evidence, not proof (a lower bound on the true sup): in a
+network the gadgets see root differences, so no grid hits all breakpoints.
 """
 
 from dataclasses import dataclass

@@ -276,6 +276,11 @@ def tensor_basis_network(nu, family, eps):
 # -- assembly ----------------------------------------------------------------
 
 
+def within_budget(err, eps):
+    """The budget contract err <= eps, with slack for measuring arithmetic."""
+    return err <= eps * (1.0 + 1e-9) + 1e-28
+
+
 @dataclass(frozen=True)
 class SynthesisReport:
     """Audit, budgets, and measured per-index errors of one synthesis.
@@ -289,13 +294,13 @@ class SynthesisReport:
     budgets: EpsilonSchedule
     measured_subnet_errors: dict
     bound_rhs: float
+    precision: str | None = None  # of the measurement; not in the JSON
+    measured_sup: float | None = None  # end to end, on request; not in JSON
 
     def __post_init__(self):
-        bad = []
-        for nu, err in self.measured_subnet_errors.items():
-            eps = self.budgets.per_index[nu]
-            if err > eps * (1.0 + 1e-9) + 1e-28:
-                bad.append((nu, err, eps))
+        bad = [(nu, err, self.budgets.per_index[nu])
+               for nu, err in self.measured_subnet_errors.items()
+               if not within_budget(err, self.budgets.per_index[nu])]
         if bad:
             nu, err, eps = bad[0]
             raise SynthesisError(
@@ -320,13 +325,49 @@ def _nu_key(nu):
 
 
 def choose_precision(bound_rhs, budgets):
-    """float64 or double-double, by the smallest quantity to be resolved."""
-    smallest = min([bound_rhs] + [e for e in budgets.per_index.values()])
+    """float64 or dd, by the smallest of bound_rhs and the budgets."""
+    per_index = getattr(budgets, "per_index", budgets)
+    smallest = min([bound_rhs, *per_index.values()])
     return "dd" if smallest < _DD_BUDGET_THRESHOLD else "float64"
 
 
+def _dd_sup(hi, lo, ref_hi, ref_lo):
+    d_hi, d_lo = dd.sub_dd(hi, lo, ref_hi, ref_lo)
+    return float(np.max(dd.abs_dd(d_hi, d_lo)[0]))
+
+
+def measure_errors(net, live, family, pts, mode, expansion=None):
+    """({nu: sup error}, end-to-end sup or None) from one body pass.
+
+    The body (all layers but the last) runs once on pts, in mode "float64"
+    or "dd"; its column j is compared with member live[j].  Given the
+    expansion, the output layer is applied to the same body values, which
+    is bitwise the full forward pass (every row sums in stored order).
+    """
+    body = nc.ReluNetwork(net.input_dim, net.layers[:-1]) \
+        if net.depth > 1 else None
+    out, errors, sup = net.layers[-1], {}, None
+    if mode == "dd":
+        hi, lo = body.forward_dd(pts) if body else (pts, np.zeros_like(pts))
+        for j, nu in enumerate(live):
+            errors[nu] = _dd_sup(hi[:, j], lo[:, j],
+                                 *eval_tensor_dd(family, nu, pts))
+        if expansion is not None:
+            o_hi, o_lo = out.forward_dd(hi.T, lo.T)
+            sup = _dd_sup(o_hi[0], o_lo[0], *expansion.evaluate_dd(pts))
+    else:
+        got = body.forward(pts) if body else pts
+        for j, nu in enumerate(live):
+            ref = eval_tensor(family, nu, pts)
+            errors[nu] = float(np.max(np.abs(got[:, j] - ref)))
+        if expansion is not None:
+            vals = out.forward(got.T)[0]
+            sup = float(np.max(np.abs(vals - expansion.evaluate(pts))))
+    return errors, sup
+
+
 def expansion_network(expansion, pvol, sampler=None, precision="auto",
-                      measure=True):
+                      measure=True, end_to_end=False):
     """Assemble the full approximation network for an expansion.
 
     Every index above zero gets its own basis subnetwork at its scheduled
@@ -338,6 +379,8 @@ def expansion_network(expansion, pvol, sampler=None, precision="auto",
     per-subnetwork sup errors are taken on the sampler's points, in
     double-double arithmetic whenever budgets drop below what float64 can
     resolve; the report constructor then enforces budget compliance.
+    end_to_end=True also records the network's own sup error against the
+    expansion, from the same body pass.
     """
     index_set = expansion.index_set
     bound = index_set.bound
@@ -398,27 +441,17 @@ def expansion_network(expansion, pvol, sampler=None, precision="auto",
     full_audit = nc.audit(net, per_subnetwork=per_subnet)
 
     measured = {nu: 0.0 for nu in index_set.indices if sum(nu) == 0}
-    if measure and members:
+    mode = sup = None
+    if measure and (members or end_to_end):
         if sampler is None:
             sampler = default_sampler(d)
-        pts = sampler.points(d)
         mode = precision
         if mode == "auto":
             mode = choose_precision(bound_rhs, budgets)
-        body_net = nc.ReluNetwork(d, body.layers)
-        if mode == "dd":
-            got_hi, got_lo = body_net.forward_dd(pts)
-            for j, nu in enumerate(member_indices):
-                ref_hi, ref_lo = eval_tensor_dd(family, nu, pts)
-                d_hi, d_lo = dd.sub_dd(got_hi[:, j], got_lo[:, j],
-                                       ref_hi, ref_lo)
-                a_hi, _ = dd.abs_dd(d_hi, d_lo)
-                measured[nu] = float(np.max(a_hi))
-        else:
-            got = body_net.forward(pts)
-            for j, nu in enumerate(member_indices):
-                ref = eval_tensor(family, nu, pts)
-                measured[nu] = float(np.max(np.abs(got[:, j] - ref)))
+        errors, sup = measure_errors(net, member_indices, family,
+                                     sampler.points(d), mode,
+                                     expansion if end_to_end else None)
+        measured.update(errors)
 
-    report = SynthesisReport(full_audit, budgets, measured, bound_rhs)
-    return net, report
+    return net, SynthesisReport(full_audit, budgets, measured, bound_rhs,
+                                mode, sup)

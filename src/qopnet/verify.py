@@ -31,13 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from . import ddfloat as dd
 from . import multiindex as mi
-from . import netcore as nc
 from . import synth
 from .errors import (ConfigurationError, ResourceCapError, VerificationError)
 from .orthopoly import synthetic_expansion
-from .sampling import SamplerSpec, default_sampler
+from .sampling import default_sampler
 
 # desk-scale envelope: refuse study configurations beyond this up front
 MAX_DIM = 3
@@ -48,21 +46,6 @@ CSV_COLUMNS = ("M", "J", "pvol", "sup_error_uQ_uNN", "tail_bound_u_uQ",
                "total_bound", "complexity", "units", "nonzero_weights",
                "depth", "bound_rhs", "wall_time")
 _INT_COLUMNS = {"M", "complexity", "units", "nonzero_weights", "depth"}
-
-
-def sup_error(f, g, d, sampler=None):
-    """Largest pointwise gap between two callables on the sampler's points."""
-    if sampler is None:
-        sampler = default_sampler(d)
-    pts = sampler.points(d)
-    fv = np.asarray(f(pts), dtype=float).reshape(len(pts))
-    gv = np.asarray(g(pts), dtype=float).reshape(len(pts))
-    diff = np.abs(fv - gv)
-    bad = ~np.isfinite(diff)
-    if np.any(bad):
-        where = tuple(float(v) for v in pts[int(np.argmax(bad))])
-        raise VerificationError(f"non-finite error at point {where}")
-    return float(np.max(diff))
 
 
 @dataclass(frozen=True)
@@ -136,19 +119,18 @@ def _check_envelope(bound, m_values):
             f"study limited to {MAX_TERMS} terms, got {worst}")
 
 
-def _measured_sup(net, expansion, pts, mode):
-    if mode == "dd":
-        got_hi, got_lo = net.forward_dd(pts)
-        ref_hi, ref_lo = expansion.evaluate_dd(pts)
-        d_hi, d_lo = dd.sub_dd(got_hi[:, 0], got_lo[:, 0], ref_hi, ref_lo)
-        a_hi, _ = dd.abs_dd(d_hi, d_lo)
-        return float(np.max(a_hi))
-    got = net.forward(pts)[:, 0]
-    return float(np.max(np.abs(got - expansion.evaluate(pts))))
-
-
 def _check_chain(expansion, report, sup):
-    """Links 2 and 3 of the error chain; link 1 held at construction."""
+    """Links 2 and 3 of the error chain; link 1 held at construction.
+
+    Link 3 compares float sums: out = fl(c_0 + sum c_nu b_nu) of the body
+    values, ref = fl(sum c_nu t_nu) of the computed tensor values, and e_nu
+    compares b_nu with that t_nu.  A recursive sum of k terms is off by at
+    most gamma_k sum |terms|, gamma_k = k u / (1 - k u) (Higham, Accuracy and
+    Stability, ch. 3); with |t_nu| <= 1 (|y_i - r| <= 1 on [0,1]^d) and
+    |b_nu| <= 1 + e_nu, |out - ref| <= sum |c_nu| (e_nu + gamma_(M+1) (2 +
+    e_nu)) over M terms.  In float64 (u = 2^-53) exact subnetworks (degree
+    <= 1) leave that rounding term; in dd the 1e-27 absorbs it.
+    """
     coeff = expansion.coeff_map()
     budget_total = math.fsum(abs(coeff[nu]) * report.budgets[nu]
                              for nu in coeff)
@@ -156,9 +138,14 @@ def _check_chain(expansion, report, sup):
         raise VerificationError(
             f"weighted budget total {budget_total:.6e} exceeds a-priori "
             f"bound {report.bound_rhs:.6e}")
-    triangle = math.fsum(abs(coeff[nu]) * err
-                         for nu, err in report.measured_subnet_errors.items())
-    if sup > triangle * (1.0 + 1e-9) + 1e-27:
+    errors = report.measured_subnet_errors
+    triangle = math.fsum(abs(coeff[nu]) * err for nu, err in errors.items())
+    slack = 1e-27
+    if report.precision == "float64":
+        ku = (len(coeff) + 1) * 2.0 ** -53
+        slack += ku / (1.0 - ku) * math.fsum(
+            abs(c) * (2.0 + errors[nu]) for nu, c in coeff.items())
+    if sup > triangle * (1.0 + 1e-9) + slack:
         raise VerificationError(
             f"measured error {sup:.6e} exceeds triangle total {triangle:.6e}")
     return budget_total, triangle
@@ -185,7 +172,6 @@ def convergence_study(bound, family, m_values, pvol=None, sampler=None,
         pvol = mi.estimate_sublevel_volume(bound).value
     if sampler is None:
         sampler = default_sampler(d)
-    pts = sampler.points(d)
 
     largest = mi.enumerate_quasi_optimal(bound, m_values[-1])
     worst_degree = max(sum(nu) for nu in largest.indices)
@@ -204,11 +190,9 @@ def convergence_study(bound, family, m_values, pvol=None, sampler=None,
         lam = mi.enumerate_quasi_optimal(bound, m)
         uq = target.restrict(lam)
         net, report = synth.expansion_network(uq, pvol, sampler=sampler,
-                                              precision=precision)
-        mode = precision
-        if mode == "auto":
-            mode = synth.choose_precision(report.bound_rhs, report.budgets)
-        sup = _measured_sup(net, uq, pts, mode)
+                                              precision=precision,
+                                              end_to_end=True)
+        sup = report.measured_sup
         _check_chain(uq, report, sup)
         if sup > report.bound_rhs:
             raise VerificationError(

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from qopnet import ddfloat as dd
 from qopnet import multiindex as mi
 from qopnet import netcore as nc
 from qopnet import orthopoly as op
@@ -234,3 +235,66 @@ def test_criterion_11_round_trips_are_bitwise(tmp_path, study_d1, study_d2):
             count += 1
     print(f"criterion 11: {count} networks reload and evaluate bitwise at "
           f"100 seeded points: PASS")
+
+
+# -- one-pass measurement and exact dd products -------------------------------
+
+
+def _expansion_of(net):
+    meta = net.metadata
+    indices = tuple(tuple(nu) for nu in meta["index_set"])
+    return op.QuasiOptimalExpansion(
+        mi.QuasiOptimalIndexSet(indices, meta["threshold"], None),
+        tuple(meta["coeffs"]), op.make_family(meta["family"]))
+
+
+def _bits(*arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+def _check_one_pass(net, pts):
+    """Output layer on the body values == full forward, both precisions."""
+    u = _expansion_of(net)
+    live = [nu for nu in u.index_set.indices if sum(nu)]
+    body = nc.ReluNetwork(net.input_dim, net.layers[:-1])
+    out = net.layers[-1]
+    full = net.forward(pts)[:, 0]
+    assert _bits(out.forward(body.forward(pts).T)[0]) == _bits(full)
+    _, sup = synth.measure_errors(net, live, u.family, pts, "float64", u)
+    assert sup == float(np.max(np.abs(full - u.evaluate(pts))))
+    hi, lo = body.forward_dd(pts)
+    o_hi, o_lo = out.forward_dd(hi.T, lo.T)
+    f_hi, f_lo = net.forward_dd(pts)
+    assert _bits(o_hi[0], o_lo[0]) == _bits(f_hi[:, 0], f_lo[:, 0])
+    _, sup = synth.measure_errors(net, live, u.family, pts, "dd", u)
+    d_hi, d_lo = dd.sub_dd(f_hi[:, 0], f_lo[:, 0], *u.evaluate_dd(pts))
+    assert sup == float(np.max(dd.abs_dd(d_hi, d_lo)[0]))
+
+
+def test_one_pass_end_to_end_is_the_full_forward(study_d2):
+    _, nets, _ = study_d2
+    _check_one_pass(nets[66], SamplerSpec("grid", 101).points(2)[::37])
+    bound = mi.isotropic_bound(3)
+    lam = mi.enumerate_quasi_optimal(bound, 20)
+    target = op.synthetic_expansion(bound, FAMILY, lam.threshold + 45.0,
+                                    seed=4)
+    halton = SamplerSpec("halton", 256, seed=9)
+    net, _ = synth.expansion_network(target.restrict(lam), 1.0 / 6.0,
+                                     sampler=halton)
+    _check_one_pass(net, halton.points(3))
+
+
+def test_exact_dd_products_match_mul_f64_bitwise(study_d1, monkeypatch):
+    # every layer before the output is flagged; the tiny points send the
+    # first layer of their batch through the underflow fallback
+    _, nets, _ = study_d1
+    pts = np.concatenate([SamplerSpec("grid", 1025).points(1)[::64],
+                          [[0.0], [1.0], [1e-300], [5e-324]]])
+    bodies = [nc.ReluNetwork(1, net.layers[:-1]) for net in nets.values()]
+    fast = []
+    for body in bodies:
+        assert all(layer._groups()[1] for layer in body.layers)
+        fast.append(_bits(*body.forward_dd(pts)))
+    monkeypatch.setattr(nc, "_EXACT_MIN", np.inf)
+    for body, bits in zip(bodies, fast):
+        assert _bits(*body.forward_dd(pts)) == bits

@@ -1,7 +1,10 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
 import json
+import os
+import pathlib
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -189,8 +192,20 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+def test_study_exact_rows_exit_clean(tmp_path):
+    # degree <= 1 rows are exact; float64 rounding alone must not fail them
+    out = tmp_path / "exact.csv"
+    assert run("study", "--bound", "isotropic", "--d", "2", "--m", "3,6",
+               "--seed", "1", "--out", str(out)) == 0
+
+
 def test_installed_entry_point():
-    proc = subprocess.run(["qopnet", "--version"], capture_output=True,
-                          text=True)
+    # python -m qopnet runs qopnet.cli:main, the console script's target,
+    # from a checkout with no install step
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    paths = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run([sys.executable, "-m", "qopnet", "--version"],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip()

@@ -97,13 +97,58 @@ def test_forward_dd_high_limb_matches_forward():
     assert np.max(np.abs(lo)) < 1e-12
 
 
-def test_forward_dd_chunk_invariant():
+def test_forward_dd_chunk_invariant(monkeypatch):
     net = random_net(4)
     pts = np.random.default_rng(5).normal(size=(300, 3))
     h1, l1 = net.forward_dd(pts, chunk=1024)
     h2, l2 = net.forward_dd(pts, chunk=37)
     np.testing.assert_array_equal(h1, h2)
     np.testing.assert_array_equal(l1, l2)
+    monkeypatch.setattr(nc, "_DD_BATCH_BYTES", 8)  # 16-point batches
+    h3, l3 = net.forward_dd(pts)
+    assert [h3.tobytes(), l3.tobytes()] == [h1.tobytes(), l1.tobytes()]
+
+
+def test_forward_dd_power_of_two_weights_match_mul_f64(monkeypatch):
+    # signed powers of two take the exact product; forcing every batch onto
+    # dd.mul_f64 must not move a bit, signed zeros included
+    rng = np.random.default_rng(6)
+    w = rng.choice([-1.0, 1.0], size=(6, 4)) \
+        * 2.0 ** rng.integers(-60, 8, size=(6, 4))
+    w[0, 1] = 0.0
+    layer = nc.Layer(w, rng.normal(size=6),
+                     (nc.ACT_RELU,) * 3 + (nc.ACT_LINEAR,) * 3)
+    assert layer._groups()[1]
+    hi = rng.normal(size=(4, 64))
+    lo = hi * 2.0 ** -60 * rng.normal(size=(4, 64))
+    hi[:, :3] = [[0.0, -0.0, 1.0]] * 4
+    lo[:, :3] = [[-0.0, 0.0, -0.0]] * 4
+    lo[1, 10:20] = -0.0
+    fast = layer.forward_dd(hi, lo)
+    monkeypatch.setattr(nc, "_EXACT_MIN", np.inf)
+    slow = layer.forward_dd(hi, lo)
+    assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow]
+
+
+def test_forward_dd_subnormal_products_take_mul_f64(monkeypatch):
+    # 1.57998778e-312 * -2^-15 rounds in the subnormal range, where the
+    # shortcut and the Dekker product disagree; the range guard must
+    # send the batch through dd.mul_f64
+    layer = nc.Layer([[-2.0 ** -15]], [0.0], (nc.ACT_LINEAR,))
+    hi = np.array([[1.57998778e-312, 0.75]])
+    got = layer.forward_dd(hi, np.zeros_like(hi))
+    monkeypatch.setattr(nc, "_EXACT_MIN", np.inf)
+    want = layer.forward_dd(hi, np.zeros_like(hi))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    monkeypatch.setattr(nc, "_EXACT_MIN", 0.0)
+    unguarded = layer.forward_dd(hi, np.zeros_like(hi))
+    assert unguarded[0].tobytes() != want[0].tobytes()
+
+
+def test_forward_dd_flags_only_power_of_two_layers():
+    assert nc.Layer([[0.5, -4.0]], [0.3], (nc.ACT_RELU,))._groups()[1]
+    assert not nc.Layer([[0.5, 3.0]], [0.0], (nc.ACT_RELU,))._groups()[1]
+    assert not nc.Layer([[2.0 ** -120]], [0.0], (nc.ACT_RELU,))._groups()[1]
 
 
 def test_evaluate_accepts_single_point():

@@ -4,14 +4,12 @@ import csv
 import json
 import math
 
-import numpy as np
 import pytest
 
 from qopnet import multiindex as mi
 from qopnet import orthopoly as op
 from qopnet import verify
-from qopnet.errors import (ConfigurationError, ResourceCapError,
-                           VerificationError)
+from qopnet.errors import ConfigurationError, ResourceCapError
 from qopnet.sampling import SamplerSpec
 
 
@@ -21,26 +19,6 @@ def small_study():
     fam = op.shifted_legendre()
     return verify.convergence_study(b, fam, [2, 4, 8], pvol=1.0, seed=7,
                                     coeff_cutoff=40.0)
-
-
-def test_sup_error_on_matching_functions():
-    f = lambda pts: pts[:, 0] ** 2
-    g = lambda pts: pts[:, 0] ** 2
-    assert verify.sup_error(f, g, 1) == 0.0
-
-
-def test_sup_error_reports_gap():
-    f = lambda pts: pts[:, 0]
-    g = lambda pts: pts[:, 0] + np.where(pts[:, 0] > 0.5, 1e-3, 0.0)
-    assert verify.sup_error(f, g, 1) == pytest.approx(1e-3)
-
-
-def test_sup_error_names_nonfinite_point():
-    f = lambda pts: np.where(pts[:, 0] > 0.99, np.nan, 0.0)
-    g = lambda pts: np.zeros(len(pts))
-    with pytest.raises(VerificationError) as err:
-        verify.sup_error(f, g, 1)
-    assert "point" in str(err.value)
 
 
 def test_study_rows_sorted_and_complete(small_study):
@@ -146,6 +124,17 @@ def test_study_uses_dd_when_budgets_vanish():
     row = rep.rows[0]
     assert 0.0 < row.sup_error_uQ_uNN <= row.bound_rhs
     assert row.bound_rhs < 1e-12
+
+
+@pytest.mark.parametrize("d,m,seed", [(2, 3, s) for s in range(6)]
+                         + [(3, 4, 0)])
+def test_study_exact_rows_pass_link_three(d, m, seed):
+    # every live index has degree 1, so the subnetworks are exact and the
+    # triangle total is 0; the float64 rounding of the output sum and of
+    # the reference sum must not trip link 3
+    rep = verify.convergence_study(mi.isotropic_bound(d),
+                                   op.shifted_legendre(), [m], seed=seed)
+    assert rep.rows[0].sup_error_uQ_uNN <= 1e-15
 
 
 # -- scaling checks -----------------------------------------------------------
