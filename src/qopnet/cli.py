@@ -90,7 +90,8 @@ def build_parser():
     p.add_argument("--pvol", type=float, default=None,
                    help="sublevel volume (default: estimated)")
     p.add_argument("--cutoff", type=float, default=None,
-                   help="target support cutoff (default: threshold + 45)")
+                   help="target support cutoff (default: threshold + "
+                        f"{verifymod.TARGET_MARGIN:g})")
     p.add_argument("--family", choices=("shifted_legendre", "monomial"),
                    default=None)
     p.add_argument("--out", required=True, help="network JSON path")
@@ -248,7 +249,7 @@ def _cmd_synth(args):
         pvol = mi.estimate_sublevel_volume(bound).value
     cutoff = args.cutoff
     if cutoff is None:
-        cutoff = lam.threshold + 45.0
+        cutoff = lam.threshold + verifymod.TARGET_MARGIN
     target = op.synthetic_expansion(bound, family, cutoff, seed=seed)
     sampler = _sampler_from_args(args, bound.dim)
     net, report = synthmod.expansion_network(target.restrict(lam), pvol,

@@ -55,12 +55,6 @@ def sub_dd(xh, xl, yh, yl):
     return add_dd(xh, xl, -yh, -yl)
 
 
-def add_f64(xh, xl, c):
-    s, e = two_sum(xh, c)
-    e = e + xl
-    return quick_two_sum(s, e)
-
-
 def mul_f64(xh, xl, c):
     p, e = two_prod(xh, c)
     e = e + xl * c

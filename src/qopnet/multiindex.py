@@ -6,7 +6,7 @@ module selects the m indices with the smallest exponents (the quasi-optimal
 set), estimates the normalized volume of the sublevel sets {b <= tau}, and
 brackets the coefficient mass sum(exp(-b)) left outside a selection.
 
-Built-in bound kinds:
+Bound kinds:
 
 ``isotropic``
     b(nu) = |nu|_1, the unweighted total degree.
@@ -17,14 +17,13 @@ Built-in bound kinds:
     discounted by the algebraic prefactor of orthonormal Legendre
     coefficient estimates.  A variant prefactor |2*nu_i - 1| sits behind
     ``literal_prefactor=True``.
-``custom``
-    Any callable on multi-indices, with user-declared growth constants.
 
-Every kind grows linearly: c_low*|nu| - s_low <= b(nu) <= c_high*|nu| +
-s_high for explicit constants, which is what makes tail remainders
-computable.  The legendre kind with rho < 3 dips below zero near the
-origin, so enumeration never assumes coordinate monotonicity; the frontier
-is ordered by a monotone minorant built from per-coordinate suffix minima.
+Every kind is separable, b(nu) = sum_i g_i(nu_i) - log_c, and grows
+linearly: c_low*|nu| - s_low <= b(nu) <= c_high*|nu| + s_high for explicit
+constants, which is what makes tail remainders computable.  The legendre
+kind with rho < 3 dips below zero near the origin, so enumeration never
+assumes coordinate monotonicity; the frontier is ordered by a monotone
+minorant built from per-coordinate suffix minima.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,7 +40,7 @@ from qopnet.errors import (
     ResourceCapError,
 )
 
-_KINDS = ("isotropic", "taylor", "legendre", "custom")
+_KINDS = ("isotropic", "taylor", "legendre")
 
 _TABLE_SEED = 64  # initial per-coordinate table length
 
@@ -74,7 +72,7 @@ class BoundFunction:
     Parameters
     ----------
     kind : str
-        One of "isotropic", "taylor", "legendre", "custom".
+        One of "isotropic", "taylor", "legendre".
     rho : sequence of float, optional
         Per-coordinate decay rates, all > 1.  Required for "taylor" and
         "legendre"; for "isotropic" pass ``dim`` instead.
@@ -86,13 +84,10 @@ class BoundFunction:
     literal_prefactor : bool
         Legendre only: use the |2*nu - 1| prefactor variant instead of the
         default (2*nu + 1).
-    fn, c_low, c_high, shift_low, shift_high
-        Custom kind only: the callable and its declared growth constants.
     """
 
     def __init__(self, kind, rho=None, dim=None, log_c=0.0,
-                 literal_prefactor=False, fn=None, c_low=None, c_high=None,
-                 shift_low=0.0, shift_high=0.0):
+                 literal_prefactor=False):
         if kind not in _KINDS:
             raise ConfigurationError(f"unknown bound kind {kind!r}")
         if kind in ("taylor", "legendre"):
@@ -104,37 +99,23 @@ class BoundFunction:
             if any(not math.isfinite(r) for r in rho):
                 raise ConfigurationError(f"decay rates must be finite, got {rho}")
             dim = len(rho)
-        elif kind == "isotropic":
+        else:  # isotropic
             if dim is None:
                 dim = len(rho) if rho is not None else None
             if dim is None or dim < 1:
                 raise ConfigurationError("isotropic kind requires dim >= 1")
             rho = (math.e,) * dim  # b = |nu|_1 is taylor decay at rate e
-        else:  # custom
-            if fn is None or dim is None:
-                raise ConfigurationError("custom kind requires fn and dim")
-            if c_low is None or c_high is None:
-                raise ConfigurationError(
-                    "custom kind requires declared growth slopes c_low, c_high")
-        if dim < 1:
-            raise ConfigurationError(f"dimension must be >= 1, got {dim}")
         self.kind = kind
         self.rho = rho
         self.dim = int(dim)
         self.log_c = float(log_c)
         self.literal_prefactor = bool(literal_prefactor and kind == "legendre")
-        self._fn = fn
-        self._custom_env = (c_low, shift_low, c_high, shift_high)
         self._tables = {}   # coord -> np.ndarray of g values
         self._sufmin = {}   # coord -> nondecreasing suffix minima
         self._nstar = {}    # coord -> onset of the monotone tail
         self._envelope = None
 
     # -- per-coordinate term -------------------------------------------------
-
-    @property
-    def separable(self):
-        return self.kind != "custom"
 
     def _log_rho(self, i):
         return math.log(self.rho[i])
@@ -196,15 +177,11 @@ class BoundFunction:
 
     def coord_term(self, i, n):
         """The separable per-coordinate contribution g_i(n)."""
-        if not self.separable:
-            raise ConfigurationError("custom bounds have no separable terms")
         g, _ = self._ensure_table(i, n + 1)
         return float(g[n])
 
     def coord_floor(self, i, n):
         """min over n' >= n of g_i(n'): a coordinate-monotone minorant."""
-        if not self.separable:
-            raise ConfigurationError("custom bounds have no separable terms")
         _, suf = self._ensure_table(i, n + 1)
         return float(suf[n])
 
@@ -222,12 +199,9 @@ class BoundFunction:
     def value(self, nu):
         """Exponent b(nu); the modelled coefficient bound is exp(-b(nu))."""
         nu = self._check_index(nu)
-        if self.kind == "custom":
-            raw = float(self._fn(nu))
-        else:
-            raw = 0.0
-            for i, v in enumerate(nu):
-                raw += self.coord_term(i, v)
+        raw = 0.0
+        for i, v in enumerate(nu):
+            raw += self.coord_term(i, v)
         return raw - self.log_c
 
     __call__ = value
@@ -235,19 +209,7 @@ class BoundFunction:
     def minorant(self, nu):
         """Lower bound for b on nu and all of its coordinatewise successors."""
         nu = self._check_index(nu)
-        if self.kind == "custom":
-            c_low, s_low = self._custom_env[0], self._custom_env[1]
-            return c_low * sum(nu) - s_low - self.log_c
         return sum(self.coord_floor(i, v) for i, v in enumerate(nu)) - self.log_c
-
-    @property
-    def coordinate_monotone(self):
-        """True when every per-coordinate term is nondecreasing from 0."""
-        if self.kind in ("isotropic", "taylor"):
-            return True
-        if self.kind == "custom":
-            return False  # not verifiable; treat conservatively
-        return all(self._increase_point(i) == 0 for i in range(self.dim))
 
     # -- growth envelope -----------------------------------------------------
 
@@ -255,11 +217,7 @@ class BoundFunction:
         """Linear growth envelope, used by tail remainders and pruning."""
         if self._envelope is not None:
             return self._envelope
-        if self.kind == "custom":
-            c_low, s_low, c_high, s_high = self._custom_env
-            env = GrowthEnvelope(float(c_low), float(s_low) + self.log_c,
-                                 float(c_high), float(s_high) - self.log_c)
-        elif self.kind in ("isotropic", "taylor"):
+        if self.kind in ("isotropic", "taylor"):
             logs = [self._log_rho(i) for i in range(self.dim)]
             env = GrowthEnvelope(min(logs), self.log_c, max(logs), -self.log_c)
         else:
@@ -283,27 +241,12 @@ class BoundFunction:
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self):
-        if self.kind == "custom":
-            raise ConfigurationError("custom bounds are not serializable")
         doc = {"kind": self.kind, "rho": list(self.rho), "logC": self.log_c}
         if self.literal_prefactor:
             doc["literal_prefactor"] = True
         return doc
 
-    @staticmethod
-    def from_json_dict(doc):
-        try:
-            kind = doc["kind"]
-            rho = doc["rho"]
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(f"bound document missing field: {exc}") from exc
-        return BoundFunction(
-            kind, rho=rho, log_c=float(doc.get("logC", 0.0)),
-            literal_prefactor=bool(doc.get("literal_prefactor", False)))
-
     def __repr__(self):
-        if self.kind == "custom":
-            return f"BoundFunction(custom, dim={self.dim})"
         flag = ", literal_prefactor=True" if self.literal_prefactor else ""
         return f"BoundFunction({self.kind}, rho={self.rho}{flag})"
 
@@ -322,12 +265,6 @@ def legendre_bound(rho, log_c=0.0, literal_prefactor=False):
     """b(nu) = sum_i [nu_i*log(rho_i) - log(prefactor(nu_i))] - log_c."""
     return BoundFunction("legendre", rho=rho, log_c=log_c,
                          literal_prefactor=literal_prefactor)
-
-
-def custom_bound(fn, dim, c_low, c_high, shift_low=0.0, shift_high=0.0):
-    """Wrap an arbitrary callable with declared linear growth constants."""
-    return BoundFunction("custom", fn=fn, dim=dim, c_low=c_low, c_high=c_high,
-                         shift_low=shift_low, shift_high=shift_high)
 
 
 # -- quasi-optimal selection ---------------------------------------------
@@ -357,19 +294,6 @@ class QuasiOptimalIndexSet:
     def to_json_dict(self):
         return {"M": self.m, "J": self.threshold,
                 "indices": [list(nu) for nu in self.indices]}
-
-    @staticmethod
-    def from_json_dict(doc, bound=None):
-        try:
-            indices = tuple(tuple(int(v) for v in nu) for nu in doc["indices"])
-            threshold = float(doc["J"])
-            m = int(doc["M"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"index-set document malformed: {exc}") from exc
-        if m != len(indices):
-            raise ConfigurationError(
-                f"index-set document claims M={m} but lists {len(indices)} indices")
-        return QuasiOptimalIndexSet(indices, threshold, bound)
 
 
 def enumerate_quasi_optimal(bound, m, max_pops=10_000_000):
@@ -466,8 +390,6 @@ def count_sublevel(bound, tau, cap=200_000_000):
     """Exact number of lattice points with b(nu) <= tau."""
     if not math.isfinite(tau):
         raise ConfigurationError(f"sublevel threshold must be finite, got {tau}")
-    if not bound.separable:
-        return sum(1 for _ in iter_sublevel(bound, tau, cap=cap))
     d = bound.dim
     tabs, tau_eff = _coordinate_windows(bound, tau)
     if d == 1:
@@ -513,50 +435,28 @@ def iter_sublevel(bound, tau, cap=10_000_000):
         raise ConfigurationError(f"sublevel threshold must be finite, got {tau}")
     d = bound.dim
     visited = [0]
-    if bound.separable:
-        tabs, tau_eff = _coordinate_windows(bound, tau)
-        prefix = [0] * d
-
-        def walk_exact(j, rem, spent):
-            g, suf, limit = tabs[j]
-            for n in range(limit):
-                if suf[n] > rem:
-                    break
-                gn = g[n]
-                if gn > rem:
-                    continue
-                prefix[j] = n
-                if j == d - 1:
-                    visited[0] += 1
-                    if visited[0] > cap:
-                        raise ResourceCapError(
-                            f"sublevel enumeration exceeded cap {cap}")
-                    yield tuple(prefix), spent + gn - bound.log_c
-                else:
-                    yield from walk_exact(j + 1, rem - gn, spent + gn)
-
-        yield from walk_exact(0, tau_eff, 0.0)
-        return
-    # custom: scan the simplex allowed by the declared growth envelope
-    env = bound.envelope()
-    radius = int(math.floor((tau + env.shift_low) / env.c_low)) if tau + env.shift_low >= 0 else -1
+    tabs, tau_eff = _coordinate_windows(bound, tau)
     prefix = [0] * d
 
-    def scan(j, left):
-        for n in range(left + 1):
+    def walk(j, rem, spent):
+        g, suf, limit = tabs[j]
+        for n in range(limit):
+            if suf[n] > rem:
+                break
+            gn = g[n]
+            if gn > rem:
+                continue
             prefix[j] = n
             if j == d - 1:
                 visited[0] += 1
                 if visited[0] > cap:
-                    raise ResourceCapError(f"sublevel enumeration exceeded cap {cap}")
-                b = bound.value(tuple(prefix))
-                if b <= tau:
-                    yield tuple(prefix), b
+                    raise ResourceCapError(
+                        f"sublevel enumeration exceeded cap {cap}")
+                yield tuple(prefix), spent + gn - bound.log_c
             else:
-                yield from scan(j + 1, left - n)
+                yield from walk(j + 1, rem - gn, spent + gn)
 
-    if radius >= 0:
-        yield from scan(0, radius)
+    yield from walk(0, tau_eff, 0.0)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ coordinate listing for large layers.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +70,8 @@ class Layer:
         self.weights = w
         self.bias = bias
         self.activation = activation
-        self.relu_rows = np.array([t == ACT_RELU for t in activation])
+        self.relu_rows = np.array([t == ACT_RELU for t in activation],
+                                  dtype=bool)
         self.bias.setflags(write=False)
         self._dd_groups = None
 
@@ -88,12 +88,10 @@ class Layer:
         return int(self.weights.nnz)
 
     def forward(self, x):
-        """x: (fan_in, npts) -> (units, npts), float64."""
-        z = self.weights @ x + self.bias[:, None]
-        if self.relu_rows.any():
-            idx = np.nonzero(self.relu_rows)[0]
-            z[idx] = np.maximum(z[idx], 0.0)
-        return z
+        """x: (fan_in, npts) -> (units, npts), float64, built in place."""
+        z = self.weights @ x
+        z += self.bias[:, None]
+        return np.maximum(z, 0.0, out=z, where=self.relu_rows[:, None])
 
     def _groups(self):
         """Rank slices (the k-th stored entry of every row: stored-order sums,
@@ -171,8 +169,8 @@ class ReluNetwork:
     def depth(self):
         return len(self.layers)
 
-    def forward(self, points, chunk=4096):
-        """Batch forward pass: (npts, input_dim) -> (npts, output_dim)."""
+    def _points(self, points):
+        """points as a finite (npts, input_dim) float array."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.input_dim:
             raise DimensionMismatchError(
@@ -180,6 +178,11 @@ class ReluNetwork:
                 f"network expects {self.input_dim}")
         if not np.all(np.isfinite(pts)):
             raise ConfigurationError("input points must be finite")
+        return pts
+
+    def forward(self, points, chunk=4096):
+        """Batch forward pass: (npts, input_dim) -> (npts, output_dim)."""
+        pts = self._points(points)
         outs = []
         for start in range(0, pts.shape[0], chunk):
             x = pts[start:start + chunk].T.copy()
@@ -191,11 +194,7 @@ class ReluNetwork:
     def forward_dd(self, points, chunk=1024):
         """Double-double forward pass -> (hi, lo), in batches of at most chunk
         points and, at the widest layer, about _DD_BATCH_BYTES per array."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.input_dim:
-            raise DimensionMismatchError(
-                f"points have {pts.shape[1]} coordinates, "
-                f"network expects {self.input_dim}")
+        pts = self._points(points)
         his, los = [], []
         widest = max(1, *(layer.units for layer in self.layers))
         chunk = min(chunk, max(16, _DD_BATCH_BYTES // (8 * widest)))
@@ -207,17 +206,6 @@ class ReluNetwork:
             his.append(hi.T)
             los.append(lo.T)
         return np.concatenate(his, axis=0), np.concatenate(los, axis=0)
-
-    def with_metadata(self, **kv):
-        md = dict(self.metadata)
-        md.update(kv)
-        return ReluNetwork(self.input_dim, self.layers, md)
-
-
-def evaluate(net, y):
-    """Single-point forward pass returning a 1-D output vector."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    return net.forward(y[None, :])[0]
 
 
 # -- combinators -----------------------------------------------------------

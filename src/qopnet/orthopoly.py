@@ -8,13 +8,11 @@ family the root 0 repeats n times, giving y**n.  Everything downstream
 factors directly, so each factor and every partial product stays in
 [-1,1] on the unit cube.
 
-Coefficients live against the monic factored basis.  Orthonormal leading
-coefficients are tabulated for reference but never applied.
+Coefficients live against the monic factored basis.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -25,9 +23,8 @@ from qopnet.errors import (
     ConfigurationError,
     DimensionMismatchError,
     NonConvergenceError,
-    ResourceCapError,
 )
-from qopnet.multiindex import BoundFunction, QuasiOptimalIndexSet, iter_sublevel
+from qopnet.multiindex import QuasiOptimalIndexSet, iter_sublevel
 
 _FAMILY_KINDS = ("shifted_legendre", "monomial")
 
@@ -128,20 +125,6 @@ class PolynomialFamily:
         self._roots[degree] = r
         return r
 
-    def leading_coefficient(self, degree):
-        """Orthonormal leading coefficient; tabulated for reference only.
-
-        For the shifted-Legendre family this is sqrt(2n+1)*comb(2n, n);
-        factored evaluation stays monic regardless.
-        """
-        degree = int(degree)
-        if not 0 <= degree <= self.max_degree:
-            raise ConfigurationError(
-                f"degree {degree} outside [0, {self.max_degree}]")
-        if self.kind == "monomial" or degree == 0:
-            return 1.0
-        return math.sqrt(2 * degree + 1) * float(math.comb(2 * degree, degree))
-
     def eval_factored(self, degree, y):
         """Monic product of the degree-n factors, left to right in root order."""
         y = np.asarray(y, dtype=float)
@@ -176,17 +159,6 @@ def shifted_legendre(max_degree=64):
 
 def monomial(max_degree=64):
     return PolynomialFamily("monomial", max_degree)
-
-
-def export_roots_csv(family, path, max_degree=None):
-    """One row per root: degree, index, root at full precision."""
-    top = family.max_degree if max_degree is None else int(max_degree)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["degree", "index", "root"])
-        for n in range(top + 1):
-            for k, r in enumerate(family.roots(n)):
-                writer.writerow([n, k, "%.17e" % r])
 
 
 # -- tensor products and expansions ----------------------------------------
@@ -295,33 +267,6 @@ class QuasiOptimalExpansion:
                 f"restriction index {missing[0]} is not part of the expansion")
         coeffs = tuple(cmap[nu] for nu in index_set.indices)
         return QuasiOptimalExpansion(index_set, coeffs, self.family)
-
-    def to_json_dict(self):
-        return {
-            "family": self.family.kind,
-            "d": self.dim,
-            "terms": [{"nu": list(nu), "c": c}
-                      for nu, c in zip(self.index_set.indices, self.coeffs)],
-        }
-
-    @staticmethod
-    def from_json_dict(doc, bound=None, max_degree=64):
-        try:
-            family = make_family(doc["family"], max_degree)
-            d = int(doc["d"])
-            terms = doc["terms"]
-            indices = tuple(tuple(int(v) for v in t["nu"]) for t in terms)
-            coeffs = tuple(float(t["c"]) for t in terms)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"expansion document malformed: {exc}") from exc
-        if any(len(nu) != d for nu in indices):
-            raise ConfigurationError("expansion document has mixed dimensions")
-        if bound is not None:
-            threshold = max(bound.value(nu) for nu in indices)
-        else:
-            threshold = math.nan
-        index_set = QuasiOptimalIndexSet(indices, threshold, bound)
-        return QuasiOptimalExpansion(index_set, coeffs, family)
 
 
 def synthetic_expansion(bound, family, cutoff, seed, cap=10_000_000):

@@ -48,14 +48,6 @@ class SamplerSpec:
     def to_json_dict(self):
         return {"kind": self.kind, "n": self.n, "seed": self.seed}
 
-    @staticmethod
-    def from_json_dict(doc):
-        try:
-            return SamplerSpec(doc["kind"], int(doc["n"]),
-                               int(doc.get("seed", 0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"sampler document malformed: {exc}") from exc
-
 
 def default_sampler(d, seed=0):
     """Grid for d <= 2 (>= 101 points per axis), Halton for d >= 3."""

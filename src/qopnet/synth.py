@@ -36,7 +36,6 @@ import scipy.sparse as sp
 from qopnet import ddfloat as dd
 from qopnet import netcore as nc
 from qopnet.errors import ConfigurationError, SynthesisError
-from qopnet.multiindex import QuasiOptimalIndexSet
 from qopnet.orthopoly import eval_tensor, eval_tensor_dd
 from qopnet.sampling import default_sampler
 
@@ -367,7 +366,7 @@ def measure_errors(net, live, family, pts, mode, expansion=None):
 
 
 def expansion_network(expansion, pvol, sampler=None, precision="auto",
-                      measure=True, end_to_end=False):
+                      end_to_end=False):
     """Assemble the full approximation network for an expansion.
 
     Every index above zero gets its own basis subnetwork at its scheduled
@@ -375,10 +374,10 @@ def expansion_network(expansion, pvol, sampler=None, precision="auto",
     single LINEAR unit forms the coefficient combination.  The zero index
     contributes exactly through the output bias.
 
-    Returns (network, SynthesisReport).  With measure=True (default) the
-    per-subnetwork sup errors are taken on the sampler's points, in
-    double-double arithmetic whenever budgets drop below what float64 can
-    resolve; the report constructor then enforces budget compliance.
+    Returns (network, SynthesisReport).  The per-subnetwork sup errors are
+    taken on the sampler's points, in double-double arithmetic whenever
+    budgets drop below what float64 can resolve; the report constructor
+    then enforces budget compliance.
     end_to_end=True also records the network's own sup error against the
     expansion, from the same body pass.
     """
@@ -442,7 +441,7 @@ def expansion_network(expansion, pvol, sampler=None, precision="auto",
 
     measured = {nu: 0.0 for nu in index_set.indices if sum(nu) == 0}
     mode = sup = None
-    if measure and (members or end_to_end):
+    if members or end_to_end:
         if sampler is None:
             sampler = default_sampler(d)
         mode = precision

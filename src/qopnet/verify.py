@@ -42,6 +42,10 @@ MAX_DIM = 3
 MAX_TERMS = 256
 MAX_DEGREE_SUM = 40
 
+# default target support, here and in `qopnet synth`: every index with
+# b(nu) <= (largest selection threshold) + TARGET_MARGIN
+TARGET_MARGIN = 45.0
+
 CSV_COLUMNS = ("M", "J", "pvol", "sup_error_uQ_uNN", "tail_bound_u_uQ",
                "total_bound", "complexity", "units", "nonzero_weights",
                "depth", "bound_rhs", "wall_time")
@@ -159,8 +163,8 @@ def convergence_study(bound, family, m_values, pvol=None, sampler=None,
     The synthetic target is drawn once from the seed with coefficients
     sitting exactly on the decay bound, then restricted to each budget's
     quasi-optimal set.  pvol defaults to the extrapolated sublevel volume
-    estimate.  coeff_cutoff (target support) defaults to 45 past the largest
-    selection threshold; the tail bracket always extends tail_margin past
+    estimate.  coeff_cutoff (target support) defaults to TARGET_MARGIN past
+    the largest selection threshold; the tail bracket always extends tail_margin past
     each row's own threshold.
     """
     m_values = sorted(set(int(m) for m in m_values))
@@ -180,7 +184,7 @@ def convergence_study(bound, family, m_values, pvol=None, sampler=None,
             f"largest index degree {worst_degree} exceeds study cap "
             f"{MAX_DEGREE_SUM}")
     if coeff_cutoff is None:
-        coeff_cutoff = largest.threshold + 45.0
+        coeff_cutoff = largest.threshold + TARGET_MARGIN
     target = synthetic_expansion(bound, family, coeff_cutoff, seed=seed)
 
     rows = []

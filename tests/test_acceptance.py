@@ -298,3 +298,25 @@ def test_exact_dd_products_match_mul_f64_bitwise(study_d1, monkeypatch):
     monkeypatch.setattr(nc, "_EXACT_MIN", np.inf)
     for body, bits in zip(bodies, fast):
         assert _bits(*body.forward_dd(pts)) == bits
+
+
+def test_masked_relu_matches_gather_path_on_acceptance_networks(study_d1,
+                                                                 study_d2):
+    # Layer.forward's one masked maximum against the row gather, maximum
+    # and scatter it replaced, layer by layer on every acceptance network
+    def gather_forward(layer, x):
+        z = layer.weights @ x + layer.bias[:, None]
+        idx = np.nonzero(layer.relu_rows)[0]
+        z[idx] = np.maximum(z[idx], 0.0)
+        return z
+
+    cases = [(study_d1, SamplerSpec("grid", 1025).points(1)[::64]),
+             (study_d2, SamplerSpec("grid", 101).points(2)[::37])]
+    for (_, nets, _), pts in cases:
+        for net in nets.values():
+            x = pts.T.copy()
+            for layer in net.layers:
+                got = layer.forward(x)
+                assert _bits(got) == _bits(gather_forward(layer, x))
+                x = got
+            assert _bits(x.T) == _bits(net.forward(pts))

@@ -209,3 +209,45 @@ def test_installed_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+_TRACED_RUN = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import tracer
+from qopnet import multiindex as mi, orthopoly as op, synth
+from qopnet.sampling import SamplerSpec
+
+t = tracer.Tracer("t")
+tracer.install(t)
+root = t.open("root")
+bound = mi.isotropic_bound(2)
+lam = mi.enumerate_quasi_optimal(bound, 6)
+target = op.synthetic_expansion(bound, op.shifted_legendre(),
+                                lam.threshold + 10.0, seed=0)
+net, _ = synth.expansion_network(target.restrict(lam), 0.5,
+                                 sampler=SamplerSpec("grid", 9),
+                                 precision="dd", end_to_end=True)
+net.forward([[0.25, 0.5]])
+t.close(root)
+values = tracer.layer_metrics(t, 1)
+names = {name for name, _ in tracer.LAYER_METRICS} - {"trace.overhead_s"}
+assert set(values) == names, names ^ set(values)
+print(json.dumps(values))
+"""
+
+
+def test_traced_benchmark_run_installs_against_src(tmp_path):
+    # bench/tracer.py wraps qopnet bindings by name, reads the chunk
+    # defaults of both forward passes and the gadget lru_cache statistics
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, str(root / "src"),
+         str(root / "bench")],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"})
+    assert proc.returncode == 0, proc.stderr
+    values = json.loads(proc.stdout)
+    assert values["netcore.forward_calls"] == 1
+    assert values["netcore.forward_dd_calls"] == 1
+    assert values["synth.gadget_cache_misses"] > 0

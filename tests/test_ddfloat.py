@@ -41,7 +41,7 @@ def test_add_dd_tracks_tiny_residues():
     one = np.array(1.0)
     tiny = np.array(1e-17)
     h, l = dd.two_sum(one, tiny)
-    h, l = dd.add_f64(h, l, -1.0)
+    h, l = dd.add_dd(h, l, -1.0, 0.0)
     assert float(h) == 1e-17 and float(l) == 0.0
 
 

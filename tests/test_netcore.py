@@ -88,6 +88,46 @@ def test_forward_is_chunk_invariant():
         np.testing.assert_array_equal(net.forward(pts, chunk=chunk), base)
 
 
+def _gather_relu_forward(layer, x):
+    """Layer.forward as it was before the masked step: gather, max, scatter."""
+    z = layer.weights @ x + layer.bias[:, None]
+    if layer.relu_rows.any():
+        idx = np.nonzero(layer.relu_rows)[0]
+        z[idx] = np.maximum(z[idx], 0.0)
+    return z
+
+
+def test_masked_relu_matches_gather_path_bitwise():
+    w = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                  [1.0, -1.0], [0.5, 0.5], [0.0, 0.0]])
+    bias = [-0.0, 0.0, -0.0, 0.25, 0.0, -0.5, -0.0]
+    act = (nc.ACT_RELU, nc.ACT_LINEAR, nc.ACT_RELU, nc.ACT_LINEAR,
+           nc.ACT_RELU, nc.ACT_RELU, nc.ACT_LINEAR)
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(2, 40))
+    x[:, :8] = [[0.0, -0.0, 1e-300, -1e-300, 5e-324, np.inf, -np.inf, np.nan],
+                [-0.0, 0.0, -5e-324, 0.25, -0.25, -np.inf, np.nan, 1.0]]
+    for layer in (nc.Layer(w, bias, act),
+                  nc.Layer(w, bias, (nc.ACT_RELU,) * 7),
+                  nc.Layer(w, bias, (nc.ACT_LINEAR,) * 7),
+                  nc.Layer(np.zeros((0, 2)), [], ())):
+        assert layer.relu_rows.dtype == bool
+        got = layer.forward(x.copy())
+        assert got.shape == (layer.units, 40)
+        assert got.tobytes() == _gather_relu_forward(layer, x.copy()).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_both_passes_reject_nonfinite_points(bad):
+    net = random_net(12)
+    pts = np.full((5, 3), 0.5)
+    pts[3, 1] = bad
+    with pytest.raises(ConfigurationError):
+        net.forward(pts)
+    with pytest.raises(ConfigurationError):
+        net.forward_dd(pts)
+
+
 def test_forward_dd_high_limb_matches_forward():
     # same accumulation order, so the high limb reproduces float64 closely
     net = random_net(2)
@@ -153,7 +193,7 @@ def test_forward_dd_flags_only_power_of_two_layers():
 
 def test_evaluate_accepts_single_point():
     net = nc.identity_network(2)
-    out = nc.evaluate(net, [0.3, -0.4])
+    out = net.forward([[0.3, -0.4]])[0]
     np.testing.assert_array_equal(out, [0.3, -0.4])
 
 
@@ -225,7 +265,8 @@ def test_audit_additivity_over_parallel():
 
 
 def test_json_round_trip_is_bitwise(tmp_path):
-    net = random_net(9).with_metadata(tag="round-trip")
+    net = random_net(9)
+    net = nc.ReluNetwork(net.input_dim, net.layers, {"tag": "round-trip"})
     path = tmp_path / "net.json"
     nc.save_network(net, path)
     back = nc.load_network(path)

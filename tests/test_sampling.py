@@ -1,5 +1,7 @@
 """Point set generation: shapes, determinism, defaults."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -57,5 +59,6 @@ def test_default_sampler_choices():
 
 def test_round_trip():
     spec = SamplerSpec("halton", 32, seed=4)
-    back = SamplerSpec.from_json_dict(spec.to_json_dict())
-    assert back == spec
+    doc = json.loads(json.dumps(spec.to_json_dict()))
+    assert doc == {"kind": "halton", "n": 32, "seed": 4}
+    assert SamplerSpec(**doc) == spec

@@ -40,7 +40,7 @@ def test_square_exact_at_breakpoints():
 
 
 def test_square_midpoint_value_m1():
-    assert nc.evaluate(synth.square_network(1), [0.25])[0] == 0.125
+    assert synth.square_network(1).forward([[0.25]])[0, 0] == 0.125
 
 
 def test_square_size_and_depth():
@@ -135,7 +135,7 @@ def test_product_network_meets_budget(n, delta):
 
 def test_product_network_exact_at_all_ones():
     net = synth.product_network(5, 1e-2)
-    assert nc.evaluate(net, [1.0] * 5)[0] == 1.0
+    assert net.forward([[1.0] * 5])[0, 0] == 1.0
 
 
 # -- accuracy budgets ---------------------------------------------------------
@@ -204,7 +204,7 @@ def test_factor_network_outputs_exact_differences():
     fam = op.shifted_legendre()
     net = synth.factor_network((2, 1), fam)
     r2 = fam.roots(2)
-    out = nc.evaluate(net, [0.75, 0.3])
+    out = net.forward([[0.75, 0.3]])[0]
     np.testing.assert_array_equal(
         out, [0.75 - r2[0], 0.75 - r2[1], 0.3 - 0.5])
 
@@ -317,7 +317,9 @@ def test_assembly_requires_attached_bound():
     fam = op.shifted_legendre()
     u = op.synthetic_expansion(b, fam, 40.0, seed=7)
     uq = u.restrict(mi.enumerate_quasi_optimal(b, 3))
-    orphan = op.QuasiOptimalExpansion.from_json_dict(uq.to_json_dict())
+    orphan = op.QuasiOptimalExpansion(
+        mi.QuasiOptimalIndexSet(uq.index_set.indices, uq.index_set.threshold,
+                                None), uq.coeffs, uq.family)
     with pytest.raises(ConfigurationError):
         synth.expansion_network(orphan, pvol=1.0)
 
