@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,7 +37,7 @@ ACT_LINEAR = "linear"
 
 _DENSE_DOC_LIMIT = 16384  # rows*cols above this serialize as coordinates
 _EXACT_MIN, _EXACT_MAX = 2.0 ** -900, 2.0 ** 900  # forward_dd exact range
-_DD_BATCH_BYTES = 2 ** 18  # dd temporaries this small stay in cache
+_BATCH_BYTES = 2 ** 18  # batch temporaries this small stay in cache
 
 
 class Layer:
@@ -169,8 +171,10 @@ class ReluNetwork:
     def depth(self):
         return len(self.layers)
 
-    def _points(self, points):
-        """points as a finite (npts, input_dim) float array."""
+    def _batches(self, points, chunk):
+        """Check points once, a finite (npts, input_dim) array, and yield
+        them as (input_dim, n) batches of at most chunk points and, at the
+        widest layer, about _BATCH_BYTES per float64 array."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.input_dim:
             raise DimensionMismatchError(
@@ -178,28 +182,24 @@ class ReluNetwork:
                 f"network expects {self.input_dim}")
         if not np.all(np.isfinite(pts)):
             raise ConfigurationError("input points must be finite")
-        return pts
+        widest = max(1, *(layer.units for layer in self.layers))
+        step = min(chunk, max(16, _BATCH_BYTES // (8 * widest)))
+        for start in range(0, pts.shape[0], step):
+            yield pts[start:start + step].T.copy()
 
-    def forward(self, points, chunk=4096):
+    def forward(self, points, chunk=1024):
         """Batch forward pass: (npts, input_dim) -> (npts, output_dim)."""
-        pts = self._points(points)
         outs = []
-        for start in range(0, pts.shape[0], chunk):
-            x = pts[start:start + chunk].T.copy()
+        for x in self._batches(points, chunk):
             for layer in self.layers:
                 x = layer.forward(x)
             outs.append(x.T)
         return np.concatenate(outs, axis=0)
 
     def forward_dd(self, points, chunk=1024):
-        """Double-double forward pass -> (hi, lo), in batches of at most chunk
-        points and, at the widest layer, about _DD_BATCH_BYTES per array."""
-        pts = self._points(points)
+        """Double-double forward pass -> (hi, lo), batched as forward."""
         his, los = [], []
-        widest = max(1, *(layer.units for layer in self.layers))
-        chunk = min(chunk, max(16, _DD_BATCH_BYTES // (8 * widest)))
-        for start in range(0, pts.shape[0], chunk):
-            hi = pts[start:start + chunk].T.copy()
+        for hi in self._batches(points, chunk):
             lo = np.zeros_like(hi)
             for layer in self.layers:
                 hi, lo = layer.forward_dd(hi, lo)
@@ -220,6 +220,7 @@ def stack(a, b):
     return ReluNetwork(a.input_dim, a.layers + b.layers)
 
 
+@lru_cache(maxsize=None)
 def _identity_pad_layer(width):
     return Layer(sp.eye_array(width, format="csr"), np.zeros(width),
                  (ACT_LINEAR,) * width)
@@ -229,10 +230,14 @@ def parallel(nets, shared_input=True):
     """Side-by-side placement; outputs concatenate in member order.
 
     Shorter members are padded to the common depth with LINEAR identity
-    layers appended after their own layers; the padding is counted by the
-    audit and its size is recorded in metadata["padding"].  Every member's
-    own rows are copied verbatim (columns shifted only), so each member
-    evaluates bitwise identically to its standalone form.
+    layers (one cached layer per width) appended after their own layers;
+    the padding is counted by the audit and its size is recorded in
+    metadata["padding"].  Each merged level concatenates the members'
+    canonical CSR arrays: data as is, column indices shifted by the
+    member's input offset (none on a shared first level), row pointers by
+    the running nonzero count.  Every member's own rows are thus copied
+    verbatim, so each member evaluates bitwise identically to its
+    standalone form.
     """
     nets = list(nets)
     if not nets:
@@ -246,35 +251,30 @@ def parallel(nets, shared_input=True):
     else:
         input_dim = sum(n.input_dim for n in nets)
     depth = max(n.depth for n in nets)
-    pad_units = 0
-    pad_nnz = 0
-    grid = []  # grid[level][member] -> Layer
-    for net in nets:
-        col = list(net.layers)
-        w = net.output_dim
-        for _ in range(depth - net.depth):
-            col.append(_identity_pad_layer(w))
-            pad_units += w
-            pad_nnz += w
-        grid.append(col)
+    pad_units = sum(n.output_dim * (depth - n.depth) for n in nets)
     merged = []
     for level in range(depth):
-        blocks = [grid[m][level].weights for m in range(len(nets))]
-        if level == 0 and shared_input:
-            weights = sp.vstack(blocks, format="csr")
-        else:
-            weights = sp.block_diag(blocks, format="csr")
-        bias = np.concatenate([grid[m][level].bias for m in range(len(nets))])
-        act = sum((grid[m][level].activation for m in range(len(nets))), ())
+        layers = [n.layers[level] if level < n.depth
+                  else _identity_pad_layer(n.output_dim) for n in nets]
+        shared = level == 0 and shared_input
+        indices, indptr = [], [np.zeros(1, dtype=np.int32)]
+        col = nnz = 0
+        for layer in layers:
+            w = layer.weights
+            indices.append(w.indices + col)
+            indptr.append(w.indptr[1:] + nnz)
+            col += 0 if shared else layer.fan_in
+            nnz += w.nnz
+        shape = (sum(layer.units for layer in layers),
+                 input_dim if shared else col)
+        weights = sp.csr_array(
+            (np.concatenate([layer.weights.data for layer in layers]),
+             np.concatenate(indices), np.concatenate(indptr)), shape=shape)
+        bias = np.concatenate([layer.bias for layer in layers])
+        act = tuple(chain.from_iterable(layer.activation for layer in layers))
         merged.append(Layer(weights, bias, act))
-    slices = []
-    at = 0
-    for net in nets:
-        slices.append([at, at + net.output_dim])
-        at += net.output_dim
-    meta = {"padding": {"units": pad_units, "nonzero_weights": pad_nnz,
-                        "biases": pad_units},
-            "output_slices": slices}
+    meta = {"padding": {"units": pad_units, "nonzero_weights": pad_units,
+                        "biases": pad_units}}
     return ReluNetwork(input_dim, merged, meta)
 
 

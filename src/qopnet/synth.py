@@ -10,8 +10,8 @@ The construction chain, bottom to top:
 * ``product_network``: balanced binary tree of pairwise nodes; the clamp
   between stages keeps every intermediate bounded, which makes node
   errors plainly additive.
-* ``factor_layer`` / ``factor_network``: the 2k ReLU units producing the
-  root differences (y_i - r_j) exactly.
+* ``factor_layer``: the 2k ReLU units whose (+1, -1) pairs give the root
+  differences (y_i - r_j) exactly.
 * ``tensor_basis_network``: factor layer feeding a product tree through
   an exact +/-1 pairing, approximating one monic tensor-product basis
   member to a requested accuracy.
@@ -22,6 +22,12 @@ The construction chain, bottom to top:
 All weights written here are signs, dyadic rationals, or polynomial
 roots, so construction is float-exact; only the intended mathematical
 approximation error remains.
+
+The three gadgets are built once per shape and shared by every caller:
+squares and pairwise nodes per refinement level m, product trees per
+(n, m).  The netcore combinators share or copy their members' layers
+but never write to them, so networks built from a gadget leave it as
+it was.
 """
 
 from __future__ import annotations
@@ -126,17 +132,19 @@ def product_refinement_level(n, delta):
 def product_network(n, delta):
     """Approximate the product of n inputs in [-1,1] to sup error <= delta.
 
-    Balanced binary tree of pairwise nodes at one shared refinement
-    level; odd elements ride identity channels.  n=1 is the identity
-    gadget (error 0 regardless of delta).
+    Balanced binary tree of pairwise nodes at one shared refinement level
+    m = product_refinement_level(n, delta); odd elements ride identity
+    channels.  n=1 is the identity gadget (error 0 regardless of delta).
+    The tree depends on delta only through m, so it is built once per
+    (n, m) and every caller gets that same network.
     """
-    if n < 1:
-        raise ConfigurationError(f"need at least one input, got {n}")
-    if not 0.0 < delta < 1.0:
-        raise ConfigurationError(f"accuracy must lie in (0,1), got {delta}")
+    return _product_tree(n, product_refinement_level(n, delta))
+
+
+@lru_cache(maxsize=None)
+def _product_tree(n, m):
     if n == 1:
         return nc.identity_network(1)
-    m = product_refinement_level(n, delta)
     node = pairwise_product_network(m)
     levels = []
     width = n
@@ -230,19 +238,6 @@ def factor_layer(nu, family):
             unit += 2
     weights = sp.csr_array((vals, (rows, cols)), shape=(unit, d))
     return nc.Layer(weights, np.array(bias), (nc.ACT_RELU,) * unit)
-
-
-def factor_network(nu, family):
-    """Standalone exact evaluator of the k root differences (d in, k out)."""
-    nu = tuple(int(v) for v in nu)
-    d = len(nu)
-    k = sum(nu)
-    lay = factor_layer(nu, family)
-    if k == 0:
-        return nc.ReluNetwork(d, (lay,))
-    pair = _pairing_matrix(k)
-    out = nc.Layer(pair, np.zeros(k), (nc.ACT_LINEAR,) * k)
-    return nc.ReluNetwork(d, (lay, out))
 
 
 def _pairing_matrix(k):

@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -79,6 +80,17 @@ def test_synth_requires_seed(tmp_path, capsys):
     assert run("synth", "--bound", "isotropic", "--d", "1", "--m", "4",
                "--out", str(tmp_path / "x.json")) == 1
     assert "--seed is required" in capsys.readouterr().err
+
+
+def test_synth_output_bytes_are_pinned(tmp_path):
+    # a d=2 multi-member network with product trees of several shapes and
+    # depth padding; any construction change that moves a byte fails here
+    net, rep = tmp_path / "net.json", tmp_path / "rep.json"
+    assert run("synth", "--bound", "isotropic", "--d", "2", "--m", "21",
+               "--seed", "3", "--out", str(net), "--report", str(rep)) == 0
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (net, rep)] \
+        == ["a455bc0dd91f4043984ebd8038020310b0d5bd60964bea1db53127d38f61c6f7",
+            "747ac8b1f7114e7a5dbd337d8bcfc37721be2a8678b8d32e7b2df3dc8b414e4a"]
 
 
 def test_synth_then_eval_bitwise(tmp_path, synth_net):

@@ -80,12 +80,14 @@ def test_identity_gadget_audit_counts():
     assert a.complexity == 10
 
 
-def test_forward_is_chunk_invariant():
+def test_forward_is_chunk_invariant(monkeypatch):
     net = random_net(0)
     pts = np.random.default_rng(1).normal(size=(1000, 3))
     base = net.forward(pts, chunk=4096)
     for chunk in (1, 7, 128, 999):
         np.testing.assert_array_equal(net.forward(pts, chunk=chunk), base)
+    monkeypatch.setattr(nc, "_BATCH_BYTES", 8)  # 16-point batches
+    assert net.forward(pts).tobytes() == base.tobytes()
 
 
 def _gather_relu_forward(layer, x):
@@ -144,7 +146,7 @@ def test_forward_dd_chunk_invariant(monkeypatch):
     h2, l2 = net.forward_dd(pts, chunk=37)
     np.testing.assert_array_equal(h1, h2)
     np.testing.assert_array_equal(l1, l2)
-    monkeypatch.setattr(nc, "_DD_BATCH_BYTES", 8)  # 16-point batches
+    monkeypatch.setattr(nc, "_BATCH_BYTES", 8)  # 16-point batches
     h3, l3 = net.forward_dd(pts)
     assert [h3.tobytes(), l3.tobytes()] == [h1.tobytes(), l1.tobytes()]
 
@@ -218,7 +220,6 @@ def test_parallel_shared_input():
     net = nc.parallel([nc.identity_network(1), nc.identity_network(1)])
     y = np.array([[0.7], [-0.2]])
     np.testing.assert_array_equal(net.forward(y), np.hstack([y, y]))
-    assert net.metadata["output_slices"] == [[0, 1], [1, 2]]
 
 
 def test_parallel_separate_inputs():
@@ -238,6 +239,53 @@ def test_parallel_pads_shorter_members_exactly():
     pad = net.metadata["padding"]
     # identity pads are LINEAR passthroughs, one unit and one weight per slot
     assert pad["units"] == 2 and pad["nonzero_weights"] == 2
+
+
+def _block_parallel(nets, shared_input):
+    """parallel as it was built before CSR concatenation: eye-padded
+    members joined by sp.vstack (shared first level) or sp.block_diag."""
+    depth = max(n.depth for n in nets)
+    grid = [list(n.layers) + [nc.Layer(
+        sp.eye_array(n.output_dim, format="csr"), np.zeros(n.output_dim),
+        (nc.ACT_LINEAR,) * n.output_dim)] * (depth - n.depth) for n in nets]
+    merged = []
+    for level in range(depth):
+        row = [col[level] for col in grid]
+        blocks = [layer.weights for layer in row]
+        if level == 0 and shared_input:
+            weights = sp.vstack(blocks, format="csr")
+        else:
+            weights = sp.block_diag(blocks, format="csr")
+        merged.append(nc.Layer(weights,
+                               np.concatenate([lay.bias for lay in row]),
+                               sum((lay.activation for lay in row), ())))
+    pad = sum(n.output_dim * (depth - n.depth) for n in nets)
+    return merged, {"units": pad, "nonzero_weights": pad, "biases": pad}
+
+
+@pytest.mark.parametrize("shared_input", [True, False])
+def test_parallel_matches_block_path_bitwise(shared_input):
+    # mixed depths (1 to 4 layers), output widths and input widths
+    nets = [random_net(20, widths=(7, 5, 2)),
+            random_net(21, input_dim=3 if shared_input else 1,
+                       widths=(4,)),
+            nc.stack(random_net(22, widths=(6, 3)),
+                     random_net(23, widths=(2, 2))),
+            random_net(24, input_dim=3 if shared_input else 2,
+                       widths=(5, 1), density=0.3)]
+    net = nc.parallel(nets, shared_input=shared_input)
+    layers, padding = _block_parallel(nets, shared_input)
+    assert net.depth == len(layers) == 4
+    for got, want in zip(net.layers, layers):
+        for name in ("indptr", "indices"):
+            arr = getattr(got.weights, name)
+            assert arr.dtype == np.int32
+            assert arr.tobytes() == getattr(want.weights, name).tobytes()
+        assert got.weights.data.tobytes() == want.weights.data.tobytes()
+        assert got.weights.shape == want.weights.shape
+        assert got.bias.tobytes() == want.bias.tobytes()
+        assert got.activation == want.activation
+    assert net.metadata["padding"] == padding
 
 
 def test_precompose_linear_folds_matrix_into_first_layer():

@@ -138,6 +138,37 @@ def test_product_network_exact_at_all_ones():
     assert net.forward([[1.0] * 5])[0, 0] == 1.0
 
 
+def test_product_network_is_built_once_per_level():
+    level = synth.product_refinement_level(5, 1e-2)
+    assert synth.product_refinement_level(5, 7e-3) == level
+    assert synth.product_network(5, 7e-3) is synth.product_network(5, 1e-2)
+    assert synth.product_network(5, 1e-4) is not \
+        synth.product_network(5, 1e-2)
+
+
+def _gadget_bytes(nets):
+    return [(lay.weights.data.tobytes(), lay.weights.indices.tobytes(),
+             lay.weights.indptr.tobytes(), lay.bias.tobytes())
+            for net in nets for lay in net.layers]
+
+
+def test_assembly_leaves_cached_gadgets_unchanged():
+    b = mi.isotropic_bound(2)
+    fam = op.shifted_legendre()
+    uq = op.synthetic_expansion(b, fam, 40.0, seed=4).restrict(
+        mi.enumerate_quasi_optimal(b, 12))
+    budgets = synth.epsilon_schedule(b, uq.index_set, 0.5)
+    trees = [synth.product_network(sum(nu), budgets[nu])
+             for nu in uq.index_set.indices if sum(nu)]
+    levels = {synth.product_refinement_level(sum(nu), budgets[nu])
+              for nu in uq.index_set.indices if sum(nu) > 1}
+    gadgets = trees + [f(m) for m in levels for f in (
+        synth.square_network, synth.pairwise_product_network)]
+    before = _gadget_bytes(gadgets)
+    synth.expansion_network(uq, pvol=0.5)
+    assert _gadget_bytes(gadgets) == before
+
+
 # -- accuracy budgets ---------------------------------------------------------
 
 
@@ -200,13 +231,14 @@ def test_report_rejects_budget_violation():
 # -- per-index subnetworks ----------------------------------------------------
 
 
-def test_factor_network_outputs_exact_differences():
+def test_basis_first_layer_pairs_give_exact_differences():
+    # unit pair (2j, 2j+1) of the factor layer recovers y_i - r_j exactly
     fam = op.shifted_legendre()
-    net = synth.factor_network((2, 1), fam)
+    net = synth.tensor_basis_network((2, 1), fam, 1e-3)
+    h = net.layers[0].forward(np.array([[0.75], [0.3]]))[:, 0]
     r2 = fam.roots(2)
-    out = net.forward([[0.75, 0.3]])[0]
     np.testing.assert_array_equal(
-        out, [0.75 - r2[0], 0.75 - r2[1], 0.3 - 0.5])
+        h[0::2] - h[1::2], [0.75 - r2[0], 0.75 - r2[1], 0.3 - 0.5])
 
 
 def test_factor_layer_uses_one_input_weight_per_unit():
