@@ -20,15 +20,20 @@ Bound kinds:
 
 Every kind is separable, b(nu) = sum_i g_i(nu_i) - log_c, and grows
 linearly: c_low*|nu| - s_low <= b(nu) <= c_high*|nu| + s_high for explicit
-constants, which is what makes tail remainders computable.  The legendre
-kind with rho < 3 dips below zero near the origin, so enumeration never
-assumes coordinate monotonicity; the frontier is ordered by a monotone
-minorant built from per-coordinate suffix minima.
+constants, which is what makes tail remainders computable.
+
+One lattice walk serves every consumer.  count_sublevel counts and
+iter_sublevel lists the window {b <= tau}, coordinate by coordinate against
+per-coordinate suffix minima, and both keep back for the later coordinates
+the least they can add.  The legendre kind with rho < 3 dips below zero
+near the origin, so that reserve can be negative; it is what keeps the
+walk from dropping indices.  Selection widens tau until the window holds
+m indices and sorts the window by (b, lex), so every selection is a prefix
+of any larger one and of the synthetic target sorted the same way.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -180,11 +185,6 @@ class BoundFunction:
         g, _ = self._ensure_table(i, n + 1)
         return float(g[n])
 
-    def coord_floor(self, i, n):
-        """min over n' >= n of g_i(n'): a coordinate-monotone minorant."""
-        _, suf = self._ensure_table(i, n + 1)
-        return float(suf[n])
-
     # -- evaluation ----------------------------------------------------------
 
     def _check_index(self, nu):
@@ -206,15 +206,10 @@ class BoundFunction:
 
     __call__ = value
 
-    def minorant(self, nu):
-        """Lower bound for b on nu and all of its coordinatewise successors."""
-        nu = self._check_index(nu)
-        return sum(self.coord_floor(i, v) for i, v in enumerate(nu)) - self.log_c
-
     # -- growth envelope -----------------------------------------------------
 
     def envelope(self):
-        """Linear growth envelope, used by tail remainders and pruning."""
+        """Linear growth envelope, used by tail remainders and selection."""
         if self._envelope is not None:
             return self._envelope
         if self.kind in ("isotropic", "taylor"):
@@ -296,63 +291,36 @@ class QuasiOptimalIndexSet:
                 "indices": [list(nu) for nu in self.indices]}
 
 
-def enumerate_quasi_optimal(bound, m, max_pops=10_000_000):
+def enumerate_quasi_optimal(bound, m):
     """Select the m indices with the smallest b, ties broken lexicographically.
 
-    Best-first search over the lattice graph nu -> nu + e_i, keyed by a
-    coordinatewise-monotone minorant of b.  The minorant equals b itself
-    for monotone kinds, in which case this is plain best-first expansion;
-    for dipping kinds it guarantees no small-b index hides behind a large
-    frontier node.  Terminates once every frontier key strictly exceeds
-    the m-th smallest exponent seen.
+    The window {b <= tau} opens at the least exponent, the sum of the
+    coordinate minima, and widens until it counts m indices; each step
+    stretches its width by 2^(1/d), which about doubles the count.  The
+    window is then walked with a tiny margin, so that no index whose summed
+    b rounds past tau is missed, sorted by (b, lex) and cut at m.  The
+    threshold is b of the m-th index.
     """
     if m < 1:
         raise ConfigurationError(f"selection size must be >= 1, got {m}")
-    d = bound.dim
-    origin = (0,) * d
-    heap = [(bound.minorant(origin), origin)]
-    seen = {origin}
-    candidates = []
-    worst = []  # max-heap (negated) of the m smallest exponents so far
-    pops = 0
-    while heap:
-        key, nu = heapq.heappop(heap)
-        pops += 1
-        if pops > max_pops:
-            raise ResourceCapError(
-                f"selection frontier exceeded {max_pops} expansions")
-        if len(worst) == m and key > -worst[0]:
-            break
-        b = bound.value(nu)
-        candidates.append((b, nu))
-        if len(worst) < m:
-            heapq.heappush(worst, -b)
-        elif b < -worst[0]:
-            heapq.heapreplace(worst, -b)
-        for i in range(d):
-            child = nu[:i] + (nu[i] + 1,) + nu[i + 1:]
-            if child not in seen:
-                seen.add(child)
-                heapq.heappush(heap, (bound.minorant(child), child))
-    if len(candidates) < m:
-        raise ResourceCapError(
-            f"frontier exhausted with {len(candidates)} < {m} candidates")
-    candidates.sort()
-    chosen = candidates[:m]
-    indices = tuple(nu for _, nu in chosen)
-    return QuasiOptimalIndexSet(indices, chosen[-1][0], bound)
-
-
-def selection_threshold(index_set):
-    """Largest exponent over the set, recomputed when the bound is attached."""
-    if index_set.m == 0:
-        raise ConfigurationError("empty index set has no threshold")
-    if index_set.bound is not None:
-        return max(index_set.bound.value(nu) for nu in index_set.indices)
-    return index_set.threshold
+    low = sum(_coordinate_minima(bound)) - bound.log_c
+    width = bound.envelope().c_low
+    stretch = 2.0 ** (1.0 / bound.dim)
+    while count_sublevel(bound, low + width) < m:
+        width *= stretch
+    tau = low + width
+    tau += 1e-9 * (1.0 + abs(tau) + abs(bound.log_c))
+    chosen = sorted((b, nu) for nu, b in iter_sublevel(bound, tau))[:m]
+    return QuasiOptimalIndexSet(tuple(nu for _, nu in chosen), chosen[-1][0],
+                                bound)
 
 
 # -- sublevel-set counting and volume -------------------------------------
+
+
+def _coordinate_minima(bound):
+    """min over n of g_i(n) for every coordinate i."""
+    return [float(bound._ensure_table(i, 1)[1][0]) for i in range(bound.dim)]
 
 
 def _coordinate_windows(bound, tau):
@@ -360,14 +328,13 @@ def _coordinate_windows(bound, tau):
 
     limit is one past the largest n that can appear in any counted index,
     judged by suffix minima against the budget left by the other
-    coordinates at their own minima.
+    coordinates at their own minima.  reserve[j] is the least the
+    coordinates after j can add: a branch at coordinate j is cut as soon as
+    g_j(n) exceeds the remaining budget less that reserve.
     """
     d = bound.dim
     tau_eff = tau + bound.log_c  # tables hold raw per-coordinate terms
-    mins = []
-    for i in range(d):
-        _, suf = bound._ensure_table(i, 1)
-        mins.append(float(suf[0]))
+    mins = _coordinate_minima(bound)
     total_min = sum(mins)
     tabs = []
     for i in range(d):
@@ -383,15 +350,22 @@ def _coordinate_windows(bound, tau):
             n_hi *= 2
         limit = int(np.searchsorted(suf[:n_hi], budget, side="right"))
         tabs.append((g[:n_hi], suf[:n_hi], limit))
-    return tabs, tau_eff
+    reserve = [0.0] * d
+    for j in range(d - 2, -1, -1):
+        reserve[j] = reserve[j + 1] + mins[j + 1]
+    return tabs, tau_eff, reserve
 
 
 def count_sublevel(bound, tau, cap=200_000_000):
-    """Exact number of lattice points with b(nu) <= tau."""
+    """Exact number of lattice points with b(nu) <= tau.
+
+    Counts exactly the indices iter_sublevel yields: both cut a branch by
+    the same comparison against the same reserve.
+    """
     if not math.isfinite(tau):
         raise ConfigurationError(f"sublevel threshold must be finite, got {tau}")
     d = bound.dim
-    tabs, tau_eff = _coordinate_windows(bound, tau)
+    tabs, tau_eff, reserve = _coordinate_windows(bound, tau)
     if d == 1:
         g, _, limit = tabs[0]
         n = int(np.count_nonzero(g[:limit] <= tau_eff))
@@ -400,19 +374,14 @@ def count_sublevel(bound, tau, cap=200_000_000):
         return n
     last_sorted = np.sort(tabs[d - 1][0][:tabs[d - 1][2]])
     running = [0]
-    # mins_rest[j]: least possible contribution of coordinates after j,
-    # so branches are cut as soon as the remaining budget cannot be met
-    mins_rest = [0.0] * d
-    acc = 0.0
-    for j in range(d - 1, -1, -1):
-        mins_rest[j] = acc
-        acc += float(tabs[j][1][0])
 
     def rec_with_rest(j, rem):
         g, suf, limit = tabs[j]
-        cut = int(np.searchsorted(suf[:limit], rem - mins_rest[j], side="right"))
+        room = rem - reserve[j]
+        cut = int(np.searchsorted(suf[:limit], room, side="right"))
         if j == d - 2:
-            rems = rem - g[:cut]
+            head = g[:cut]
+            rems = rem - head[head <= room]
             got = int(np.searchsorted(last_sorted, rems, side="right").sum())
             running[0] += got
             if running[0] > cap:
@@ -421,7 +390,7 @@ def count_sublevel(bound, tau, cap=200_000_000):
         total = 0
         for n in range(cut):
             gn = g[n]
-            if gn > rem - mins_rest[j]:
+            if gn > room:
                 continue
             total += rec_with_rest(j + 1, rem - gn)
         return total
@@ -430,21 +399,26 @@ def count_sublevel(bound, tau, cap=200_000_000):
 
 
 def iter_sublevel(bound, tau, cap=10_000_000):
-    """Yield (nu, b(nu)) for every index with b <= tau, in lexicographic order."""
+    """Yield (nu, b(nu)) for every index with b <= tau, in lexicographic order.
+
+    Each b is a Python float summed in the order BoundFunction.value sums,
+    so it equals value(nu) bitwise.
+    """
     if not math.isfinite(tau):
         raise ConfigurationError(f"sublevel threshold must be finite, got {tau}")
     d = bound.dim
     visited = [0]
-    tabs, tau_eff = _coordinate_windows(bound, tau)
+    tabs, tau_eff, reserve = _coordinate_windows(bound, tau)
+    tabs = [(g[:limit].tolist(), suf[:limit].tolist()) for g, suf, limit in tabs]
     prefix = [0] * d
 
     def walk(j, rem, spent):
-        g, suf, limit = tabs[j]
-        for n in range(limit):
-            if suf[n] > rem:
+        g, suf = tabs[j]
+        room = rem - reserve[j]
+        for n, gn in enumerate(g):
+            if suf[n] > room:
                 break
-            gn = g[n]
-            if gn > rem:
+            if gn > room:
                 continue
             prefix[j] = n
             if j == d - 1:
@@ -524,11 +498,6 @@ class ThresholdInterval:
     inside: bool
     caveat: bool
 
-    def to_json_dict(self):
-        return {"threshold": self.threshold, "lower": self.lower,
-                "upper": self.upper, "inside": self.inside,
-                "caveat": self.caveat}
-
 
 def threshold_interval(index_set, volume, epsilon=0.5):
     """Diagnostic bracket for the selection threshold; never an assertion."""
@@ -540,7 +509,7 @@ def threshold_interval(index_set, volume, epsilon=0.5):
     d = index_set.dim
     lower = (m / ((1.0 + epsilon) * volume)) ** (1.0 / d)
     upper = (2.0 * m / volume) ** (1.0 / d)
-    j = selection_threshold(index_set)
+    j = index_set.threshold
     return ThresholdInterval(j, lower, upper, lower <= j <= upper,
                              caveat=(volume <= 1.0))
 
@@ -601,7 +570,7 @@ def tail_sum(bound, index_set, cutoff, cap=10_000_000):
     Requires cutoff strictly above the selection threshold so the window
     {b <= cutoff} contains the whole selection.
     """
-    j = selection_threshold(index_set)
+    j = index_set.threshold
     if not cutoff > j:
         raise ConfigurationError(
             f"cutoff {cutoff} must exceed the selection threshold {j}")
@@ -662,7 +631,7 @@ def tail_bound_report(bound, index_set, volume, epsilon=0.5, cutoff=None,
     m = index_set.m
     d = index_set.dim
     if cutoff is None:
-        cutoff = selection_threshold(index_set) + 60.0
+        cutoff = index_set.threshold + 60.0
     bracket = tail_sum(bound, index_set, cutoff, cap=cap)
     cu = tail_constant(epsilon)
     rhs = cu * m * math.exp(-((m / ((1.0 + epsilon) * volume)) ** (1.0 / d)))

@@ -8,7 +8,13 @@ family the root 0 repeats n times, giving y**n.  Everything downstream
 factors directly, so each factor and every partial product stays in
 [-1,1] on the unit cube.
 
-Coefficients live against the monic factored basis.
+Coefficients live against the monic factored basis, and its roots are
+float64 numbers: Newton iterates off the exact nodes by up to about 1e-16.
+Networks, eval_tensor and eval_tensor_dd all use these rounded roots, so
+every error measured or certified downstream refers to the monic basis with
+float64-rounded roots.  On the study targets that expansion differs from
+the one in exact shifted-Legendre polynomials by up to about 1e-18, so
+certified errors below that level do not hold against the exact expansion.
 """
 
 from __future__ import annotations

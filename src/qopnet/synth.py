@@ -178,16 +178,6 @@ class EpsilonSchedule:
     def __getitem__(self, nu):
         return self.per_index[tuple(nu)]
 
-    def to_json_dict(self):
-        return {
-            "global_exponent": self.global_exponent,
-            "pvol": self.pvol,
-            "per_index": [{"nu": list(nu), "eps": e}
-                          for nu, e in self.per_index.items()],
-            "clamped": [list(nu) for nu in self.clamped],
-            "floored": [list(nu) for nu in self.floored],
-        }
-
 
 def epsilon_schedule(bound, index_set, pvol):
     """Budgets that equalize coefficient-bound times accuracy across indices.

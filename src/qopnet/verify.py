@@ -20,6 +20,11 @@ the synthesis step:
 Violations raise VerificationError.  Monotonicity of size counters across
 rows is a soft expectation: failures are recorded as warnings naming the
 offending row, never raised.
+
+The target the chain certifies is the expansion in the monic basis whose
+roots are rounded to float64 (see qopnet.orthopoly).  Below about 1e-18 the
+certified errors say nothing about the exact shifted-Legendre expansion,
+which differs from that target by about that much.
 """
 
 import csv
@@ -160,10 +165,11 @@ def convergence_study(bound, family, m_values, pvol=None, sampler=None,
                       precision="auto", return_networks=False):
     """Sweep term budgets and collect one row per assembled network.
 
-    The synthetic target is drawn once from the seed with coefficients
-    sitting exactly on the decay bound, then restricted to each budget's
-    quasi-optimal set.  pvol defaults to the extrapolated sublevel volume
-    estimate.  coeff_cutoff (target support) defaults to TARGET_MARGIN past
+    The quasi-optimal set is selected once, for the largest budget; each
+    row takes its first m indices.  The synthetic target is drawn once from
+    the seed with coefficients sitting exactly on the decay bound, then
+    restricted to each row's set.  pvol defaults to the extrapolated
+    sublevel volume estimate.  coeff_cutoff (target support) defaults to TARGET_MARGIN past
     the largest selection threshold; the tail bracket always extends tail_margin past
     each row's own threshold.
     """
@@ -191,7 +197,9 @@ def convergence_study(bound, family, m_values, pvol=None, sampler=None,
     nets = {}
     for m in m_values:
         start = time.perf_counter()
-        lam = mi.enumerate_quasi_optimal(bound, m)
+        # under the (b, lex) order each smaller selection is a prefix
+        lam = mi.QuasiOptimalIndexSet(
+            largest.indices[:m], bound.value(largest.indices[m - 1]), bound)
         uq = target.restrict(lam)
         net, report = synth.expansion_network(uq, pvol, sampler=sampler,
                                               precision=precision,

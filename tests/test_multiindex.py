@@ -22,14 +22,16 @@ def brute_candidates(bound, window):
 
 
 def safe_window(bound, tau):
-    """Box size beyond which no coordinate can re-enter {b <= tau}."""
-    w = 0
-    for i in range(bound.dim):
-        n = 0
-        while bound.coord_floor(i, n) <= tau + bound.log_c:
-            n += 1
-        w = max(w, n)
-    return w
+    """Largest |nu|_1 in {b <= tau}, from the growth envelope's lower line."""
+    env = bound.envelope()
+    return max(int(math.floor((tau + env.shift_low) / env.c_low)), 0)
+
+
+def brute_sublevel(bound, tau):
+    """Every nu with b(nu) <= tau, in lexicographic order."""
+    window = safe_window(bound, tau)
+    return [nu for nu in itertools.product(range(window + 1), repeat=bound.dim)
+            if bound.value(nu) <= tau]
 
 
 class TestBoundFunction:
@@ -62,14 +64,6 @@ class TestBoundFunction:
     def test_legendre_dips_below_zero_for_small_rho(self):
         b = mi.legendre_bound((2.0,))
         assert b.value((1,)) < 0.0 < math.log(3)
-        # the frontier key sees the dip behind the origin
-        assert b.minorant((0,)) == b.value((1,)) < b.value((0,))
-
-    def test_monotone_from_rho_three(self):
-        # nondecreasing coordinate terms: the minorant is b itself
-        for b in (mi.legendre_bound((3.0, 4.0)), mi.taylor_bound((1.1, 9.0))):
-            for nu in itertools.product(range(12), repeat=2):
-                assert b.minorant(nu) == b.value(nu)
 
     @pytest.mark.parametrize("rho", [(1.0,), (0.5, 2.0), (-3.0,)])
     def test_rho_must_exceed_one(self, rho):
@@ -139,6 +133,26 @@ class TestSelection:
         assert list(sel.indices) == [nu for _, nu in oracle]
         assert sel.threshold == pytest.approx(oracle[-1][0], abs=1e-14)
 
+    @pytest.mark.parametrize("bound", [
+        mi.legendre_bound((2.0, 2.0)),
+        mi.legendre_bound((3.0, 1.5)),
+        mi.legendre_bound((4.0, 1.2, 1.5)),
+        mi.legendre_bound((6.0, 1.3), log_c=-7.5),
+        mi.legendre_bound((3.0, 2.0, 1.5), literal_prefactor=True),
+    ])
+    def test_matches_brute_force_when_later_coordinates_dip(self, bound):
+        top = 90
+        # the top selection's threshold is at least the true top-th exponent,
+        # so the envelope window below it holds every candidate
+        window = safe_window(
+            bound, mi.enumerate_quasi_optimal(bound, top).threshold)
+        oracle = brute_candidates(bound, window)
+        for m in range(1, top + 1):
+            sel = mi.enumerate_quasi_optimal(bound, m)
+            assert list(sel.indices) == [nu for _, nu in oracle[:m]], m
+            assert type(sel.threshold) is float
+            assert sel.threshold == bound.value(sel.indices[-1])
+
     def test_lexicographic_tie_break(self):
         # 3*log(2) and log(8) are the same float, so (0,1) vs (3,0) is a
         # genuine tie and the lexicographically smaller index must win
@@ -163,15 +177,10 @@ class TestSelection:
     def test_threshold_is_max_exponent(self):
         sel = mi.enumerate_quasi_optimal(mi.legendre_bound((2.0, 3.0)), 9)
         assert sel.threshold == max(sel.bound.value(nu) for nu in sel.indices)
-        assert mi.selection_threshold(sel) == sel.threshold
 
     def test_size_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             mi.enumerate_quasi_optimal(mi.isotropic_bound(1), 0)
-
-    def test_pop_cap_enforced(self):
-        with pytest.raises(ResourceCapError):
-            mi.enumerate_quasi_optimal(mi.isotropic_bound(2), 200, max_pops=10)
 
     def test_index_set_json_round_trip(self):
         sel = mi.enumerate_quasi_optimal(mi.taylor_bound((2.0, 8.0)), 6)
@@ -198,11 +207,7 @@ COUNT_CASES = [
 class TestSublevelCounting:
     @pytest.mark.parametrize("bound,tau", COUNT_CASES)
     def test_count_matches_brute_force(self, bound, tau):
-        window = safe_window(bound, tau)
-        got = mi.count_sublevel(bound, tau)
-        brute = sum(1 for nu in itertools.product(range(window + 1), repeat=bound.dim)
-                    if bound.value(nu) <= tau)
-        assert got == brute
+        assert mi.count_sublevel(bound, tau) == len(brute_sublevel(bound, tau))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("tau", [256.0, 1000.0])
@@ -211,14 +216,22 @@ class TestSublevelCounting:
         got = mi.count_sublevel(mi.isotropic_bound(d), tau)
         assert got == math.comb(int(tau) + d, d)
 
-    @pytest.mark.parametrize("bound,tau", COUNT_CASES[:6])
+    # a later coordinate dips below zero at tau=4.9 and in the last two
+    # cases, where the walk must hold back that coordinate's negative minimum
+    @pytest.mark.parametrize("bound,tau", COUNT_CASES + [
+        (mi.legendre_bound((2.0, 2.0)), -0.2),
+        (mi.legendre_bound((3.0, 1.5)), 2.5),
+    ])
     def test_iteration_agrees_with_count(self, bound, tau):
         pts = list(mi.iter_sublevel(bound, tau))
         assert len(pts) == mi.count_sublevel(bound, tau)
-        assert pts == sorted(pts)  # lexicographic by construction
+        assert [nu for nu, _ in pts] == brute_sublevel(bound, tau)
         for nu, b in pts:
-            assert b == pytest.approx(bound.value(nu), abs=1e-12)
-            assert b <= tau + 1e-12
+            assert type(b) is float and b == bound.value(nu)
+
+    def test_iteration_cap_raises(self):
+        with pytest.raises(ResourceCapError):
+            list(mi.iter_sublevel(mi.isotropic_bound(2), 10.0, cap=10))
 
     def test_count_cap_raises(self):
         with pytest.raises(ResourceCapError):
