@@ -23,11 +23,19 @@ def two_sum(a, b):
     return s, err
 
 
-def quick_two_sum(a, b):
-    """two_sum under the precondition |a| >= |b| (or a == 0)."""
-    s = a + b
-    err = b - (s - a)
-    return s, err
+def quick_two_sum(a, b, out=None):
+    """two_sum under the precondition |a| >= |b| (or a == 0).
+
+    out=(s, err), two arrays distinct from a and b, receives the result.
+    """
+    if out is None:
+        s = a + b
+        return s, b - (s - a)
+    s, err = out
+    np.add(a, b, out=s)
+    np.subtract(s, a, out=err)
+    np.subtract(b, err, out=err)
+    return out
 
 
 def _split(a):
@@ -45,10 +53,28 @@ def two_prod(a, b):
     return p, err
 
 
-def add_dd(xh, xl, yh, yl):
-    s, e = two_sum(xh, yh)
-    e = e + (xl + yl)
-    return quick_two_sum(s, e)
+def add_dd(xh, xl, yh, yl, out=None, work=None):
+    """(xh, xl) + (yh, yl).
+
+    out=(hi, lo) receives the sum and may be (xh, xl) itself; work is three
+    scratch arrays of the sum's shape, allocated when None.  Both forms run
+    the same operations in the same order, so their bits agree.
+    """
+    if out is None:
+        s, e = two_sum(xh, yh)
+        e = e + (xl + yl)
+        return quick_two_sum(s, e)
+    s, t, e = work if work is not None else \
+        [np.empty_like(out[0]) for _ in range(3)]
+    np.add(xh, yh, out=s)  # two_sum(xh, yh), with t = bb
+    np.subtract(s, xh, out=t)
+    np.subtract(s, t, out=e)
+    np.subtract(xh, e, out=e)
+    np.subtract(yh, t, out=t)
+    np.add(e, t, out=e)
+    np.add(xl, yl, out=t)
+    np.add(e, t, out=e)
+    return quick_two_sum(s, e, out=out)
 
 
 def sub_dd(xh, xl, yh, yl):
@@ -73,7 +99,22 @@ def abs_dd(hi, lo):
     return sign * hi, sign * lo
 
 
-def relu_dd(hi, lo):
-    """max(value, 0) decided on the full double-double value."""
-    pos = (hi > 0.0) | ((hi == 0.0) & (lo > 0.0))
-    return np.where(pos, hi, 0.0), np.where(pos, lo, 0.0)
+def relu_dd(hi, lo, out=None, where=True):
+    """max(value, 0) decided on the full double-double value.
+
+    where (broadcast against hi) limits the hinge to those entries; the
+    others pass through.  out=(hi, lo) receives the result and may be the
+    operands themselves.
+    """
+    keep = hi > 0.0
+    keep |= (hi == 0.0) & (lo > 0.0)
+    if where is not True:
+        keep |= np.logical_not(where)
+    if out is None:
+        return np.where(keep, hi, 0.0), np.where(keep, lo, 0.0)
+    np.logical_not(keep, out=keep)
+    for src, dst in zip((hi, lo), out):
+        if dst is not src:
+            np.copyto(dst, src)
+        np.copyto(dst, 0.0, where=keep)
+    return out

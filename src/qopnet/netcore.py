@@ -10,9 +10,19 @@ inputs.
 Weights are held in CSR form with sorted indices and explicit zeros
 dropped, so nonzero counts are exact and matrix-vector products accumulate
 in a fixed stored order; evaluation is bitwise reproducible across batch
-sizes and across stack/parallel composition.  Serialized documents store
-small layers as dense row-major lists (the native format) and switch to a
-coordinate listing for large layers.
+sizes and across stack/parallel composition.
+
+The double-double pass (Layer.forward_dd) also sums each row one stored
+entry at a time, in stored order.  Each layer caches a plan that orders
+its rows by nonzero count, descending, so the rows that own a k-th entry
+are a prefix of that order.  The pass adds rank k's products into that
+prefix in place, applies the hinge in place, and restores the row order
+once at the end.  Rows never mix, and each runs the same operations on the
+same operands as in a row-by-row sum, so hi and lo are bitwise the same
+whatever the order, signed zeros included.
+
+Serialized documents store small layers as dense row-major lists (the
+native format) and switch to a coordinate listing for large layers.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,7 +86,7 @@ class Layer:
         self.relu_rows = np.array([t == ACT_RELU for t in activation],
                                   dtype=bool)
         self.bias.setflags(write=False)
-        self._dd_groups = None
+        self._plan = None
 
     @property
     def units(self):
@@ -95,25 +106,36 @@ class Layer:
         z += self.bias[:, None]
         return np.maximum(z, 0.0, out=z, where=self.relu_rows[:, None])
 
-    def _groups(self):
-        """Rank slices (the k-th stored entry of every row: stored-order sums,
-        vectorized over rows) and whether every weight is +-2^e, |e| <= 100."""
-        if self._dd_groups is None:
-            indptr = self.weights.indptr
-            counts = np.diff(indptr)
-            groups = []
+    def _dd_plan(self):
+        """forward_dd's evaluation order, built once (see _DDPlan)."""
+        if self._plan is None:
+            w = self.weights
+            counts = np.diff(w.indptr)
+            order = np.argsort(-counts, kind="stable")
+            first = w.indptr[order]
+            ranks = []
             for k in range(int(counts.max()) if counts.size else 0):
-                rows = np.nonzero(counts > k)[0]
-                at = indptr[rows] + k
-                groups.append((rows, self.weights.indices[at],
-                               self.weights.data[at][:, None]))
-            mant, expo = np.frexp(self.weights.data)
-            exact = bool(np.all((np.abs(mant) == 0.5) & (np.abs(expo) <= 100)))
-            self._dd_groups = (groups, exact)
-        return self._dd_groups
+                at = first[:np.count_nonzero(counts > k)] + k
+                ranks.append((at.size, w.indices[at], w.data[at][:, None]))
+            relu = self.relu_rows[order]
+            mant, expo = np.frexp(w.data)
+            self._plan = _DDPlan(
+                np.argsort(order), ranks, self.bias[order][:, None],
+                None if not relu.any() else True if relu.all()
+                else relu[:, None],
+                bool(np.all((np.abs(mant) == 0.5) & (np.abs(expo) <= 100))))
+        return self._plan
 
     def forward_dd(self, x_hi, x_lo):
         """Double-double forward pass, same contract as forward.
+
+        Rows run in the plan's order (see the module docstring): rank k's
+        products go through preallocated buffers and are added into the
+        prefix views acc[:n_k] in place, the hinge is one masked in-place
+        pass, and one gather per limb restores the row order.  Elementwise
+        arithmetic does not depend on where a row sits, so hi and lo are
+        bitwise those of gathering each rank's rows and scattering them
+        back, signed zeros included.
 
         For power-of-two weights w the Dekker error term in dd.mul_f64 is
         +0.0, so its product is quick_two_sum(x_hi*w, 0.0 + x_lo*w) bit for
@@ -121,26 +143,52 @@ class Layer:
         range: a batch with a nonzero |x_hi| outside [2^-900, 2^900], or a
         non-finite one, takes dd.mul_f64.
         """
-        groups, exact = self._groups()
+        plan = self._dd_plan()
+        exact = plan.exact
         if exact:
             mag = np.abs(x_hi)
             exact = bool(np.all((mag == 0.0) | ((mag >= _EXACT_MIN)
                                                 & (mag <= _EXACT_MAX))))
-        npts = x_hi.shape[1]
-        acc_hi = np.repeat(self.bias[:, None], npts, axis=1)
-        acc_lo = np.zeros_like(acc_hi)
-        for rows, cols, w in groups:
+        acc_hi, acc_lo, p, q, r, t_hi, t_lo = np.empty(
+            (7, self.units, x_hi.shape[1]))
+        acc_hi[:] = plan.bias
+        acc_lo[:] = 0.0
+        for n, cols, w in plan.ranks:
+            hi, lo = acc_hi[:n], acc_lo[:n]
             if exact:
-                t_hi, t_lo = dd.quick_two_sum(x_hi[cols] * w,
-                                              0.0 + x_lo[cols] * w)
+                # cols are in range; "clip" only skips the buffered check
+                x = x_hi.take(cols, axis=0, out=p[:n], mode="clip")
+                x *= w
+                y = x_lo.take(cols, axis=0, out=q[:n], mode="clip")
+                y *= w
+                y += 0.0  # addition commutes bitwise: 0.0 + x_lo*w
+                s, e = dd.quick_two_sum(x, y, out=(t_hi[:n], t_lo[:n]))
             else:
-                t_hi, t_lo = dd.mul_f64(x_hi[cols], x_lo[cols], w)
-            acc_hi[rows], acc_lo[rows] = dd.add_dd(
-                acc_hi[rows], acc_lo[rows], t_hi, t_lo)
-        if self.relu_rows.any():
-            idx = np.nonzero(self.relu_rows)[0]
-            acc_hi[idx], acc_lo[idx] = dd.relu_dd(acc_hi[idx], acc_lo[idx])
-        return acc_hi, acc_lo
+                s, e = dd.mul_f64(x_hi[cols], x_lo[cols], w)
+            dd.add_dd(hi, lo, s, e, out=(hi, lo),
+                      work=(p[:n], q[:n], r[:n]))
+        if plan.relu is not None:
+            dd.relu_dd(acc_hi, acc_lo, out=(acc_hi, acc_lo), where=plan.relu)
+        return acc_hi.take(plan.rank_of, axis=0), \
+            acc_lo.take(plan.rank_of, axis=0)
+
+
+class _DDPlan(NamedTuple):
+    """A layer's rows ordered by nonzero count, descending (stable).
+
+    ranks holds, for each k, the number n of rows with more than k entries
+    (the first n in that order) and the column and weight of their k-th
+    stored entry; rank_of maps each row to its place in the order.  bias
+    is permuted to match; relu is None (no ReLU rows), True (all) or the
+    permuted ReLU mask as a column; exact says every weight is +-2^e,
+    |e| <= 100.
+    """
+
+    rank_of: np.ndarray
+    ranks: list
+    bias: np.ndarray
+    relu: object
+    exact: bool
 
 
 class ReluNetwork:

@@ -4,7 +4,8 @@ A study sweeps term budgets, assembles one network per budget from a shared
 synthetic target, and records for each the measured approximation error, the
 truncation-tail bracket, and size counters, as one row.  Reports serialize to
 a CSV with a fixed column order plus a JSON sidecar that echoes the full
-configuration; everything except the wall_time column and the sidecar
+configuration and gives each row the precision it was measured in
+(float64 or dd); everything except the wall_time column and the sidecar
 timestamp is reproducible byte for byte.
 
 The per-row error chain has three links, each checked or enforced here or in
@@ -71,6 +72,7 @@ class StudyRow:
     depth: int
     bound_rhs: float
     wall_time: float
+    precision: str | None = None  # of the measurement; sidecar only
 
     def as_dict(self):
         return {name: getattr(self, name) for name in CSV_COLUMNS}
@@ -104,7 +106,8 @@ class StudyReport:
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "config_echo": self.config_echo,
             "columns": list(CSV_COLUMNS),
-            "rows": [row.as_dict() for row in self.rows],
+            "rows": [{**row.as_dict(), "precision": row.precision}
+                     for row in self.rows],
             "warnings": list(self.warnings),
         }
 
@@ -219,7 +222,8 @@ def convergence_study(bound, family, m_values, pvol=None, sampler=None,
             complexity=audit.complexity, units=audit.units,
             nonzero_weights=audit.nonzero_weights, depth=audit.depth,
             bound_rhs=report.bound_rhs,
-            wall_time=time.perf_counter() - start))
+            wall_time=time.perf_counter() - start,
+            precision=report.precision))
         if return_networks:
             nets[m] = net
 

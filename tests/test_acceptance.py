@@ -311,11 +311,28 @@ def test_exact_dd_products_match_mul_f64_bitwise(study_d1, monkeypatch):
     bodies = [nc.ReluNetwork(1, net.layers[:-1]) for net in nets.values()]
     fast = []
     for body in bodies:
-        assert all(layer._groups()[1] for layer in body.layers)
+        assert all(layer._dd_plan().exact for layer in body.layers)
         fast.append(_bits(*body.forward_dd(pts)))
     monkeypatch.setattr(nc, "_EXACT_MIN", np.inf)
     for body, bits in zip(bodies, fast):
         assert _bits(*body.forward_dd(pts)) == bits
+
+
+def test_sorted_prefix_dd_pass_matches_rank_groups_on_acceptance_networks(
+        study_d1, rank_group_forward_dd):
+    # Layer.forward_dd against the rank-group gather/scatter pass it
+    # replaced, layer by layer on every study_d1 network, output layer
+    # (dd.mul_f64) included; 1e-300 and 5e-324 take the range fallback
+    _, nets, _ = study_d1
+    pts = np.concatenate([SamplerSpec("grid", 1025).points(1)[::64],
+                          [[0.0], [1.0], [1e-300], [5e-324]]])
+    for net in nets.values():
+        hi, lo = pts.T.copy(), np.zeros((1, len(pts)))
+        for layer in net.layers:
+            got = layer.forward_dd(hi, lo)
+            assert _bits(*got) == _bits(*rank_group_forward_dd(layer, hi, lo))
+            hi, lo = got
+        assert _bits(hi.T, lo.T) == _bits(*net.forward_dd(pts))
 
 
 def test_masked_relu_matches_gather_path_on_acceptance_networks(study_d1,

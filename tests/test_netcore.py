@@ -160,7 +160,7 @@ def test_forward_dd_power_of_two_weights_match_mul_f64(monkeypatch):
     w[0, 1] = 0.0
     layer = nc.Layer(w, rng.normal(size=6),
                      (nc.ACT_RELU,) * 3 + (nc.ACT_LINEAR,) * 3)
-    assert layer._groups()[1]
+    assert layer._dd_plan().exact
     hi = rng.normal(size=(4, 64))
     lo = hi * 2.0 ** -60 * rng.normal(size=(4, 64))
     hi[:, :3] = [[0.0, -0.0, 1.0]] * 4
@@ -188,9 +188,82 @@ def test_forward_dd_subnormal_products_take_mul_f64(monkeypatch):
 
 
 def test_forward_dd_flags_only_power_of_two_layers():
-    assert nc.Layer([[0.5, -4.0]], [0.3], (nc.ACT_RELU,))._groups()[1]
-    assert not nc.Layer([[0.5, 3.0]], [0.0], (nc.ACT_RELU,))._groups()[1]
-    assert not nc.Layer([[2.0 ** -120]], [0.0], (nc.ACT_RELU,))._groups()[1]
+    assert nc.Layer([[0.5, -4.0]], [0.3], (nc.ACT_RELU,))._dd_plan().exact
+    assert not nc.Layer([[0.5, 3.0]], [0.0], (nc.ACT_RELU,))._dd_plan().exact
+    assert not nc.Layer([[2.0 ** -120]], [0.0],
+                        (nc.ACT_RELU,))._dd_plan().exact
+
+
+def _dd_test_layers():
+    # unequal row counts (0 to 5 entries, unsorted), empty rows, signed
+    # zero biases and mixed, all-ReLU, all-LINEAR and zero-unit layers; the
+    # power-of-two weights take the exact product, the others dd.mul_f64
+    rng = np.random.default_rng(21)
+    mask = np.zeros((9, 5), dtype=bool)
+    for row, count in enumerate([2, 0, 5, 1, 3, 0, 5, 2, 4]):
+        mask[row, rng.permutation(5)[:count]] = True
+    pow2 = rng.choice([-1.0, 1.0], size=(9, 5)) \
+        * 2.0 ** rng.integers(-40, 6, size=(9, 5)) * mask
+    general = rng.normal(size=(9, 5)) * mask
+    bias = [-0.0, 0.0, 0.25, -0.0, -1.5, 0.0, 3.0, -0.0, 0.5]
+    mixed = tuple(nc.ACT_RELU if r % 3 else nc.ACT_LINEAR for r in range(9))
+    cases = []
+    for kind, w in (("pow2", pow2), ("general", general)):
+        for tags, act in (("mixed", mixed), ("relu", (nc.ACT_RELU,) * 9),
+                          ("linear", (nc.ACT_LINEAR,) * 9)):
+            cases.append(pytest.param(nc.Layer(w, bias, act), kind == "pow2",
+                                      id=f"{kind}-{tags}"))
+    return cases + [pytest.param(nc.Layer(np.zeros((0, 5)), [], ()), True,
+                                 id="zero-units")]
+
+
+def _dd_test_inputs(tiny):
+    rng = np.random.default_rng(22)
+    hi = rng.normal(size=(5, 48))
+    lo = hi * 2.0 ** -60 * rng.normal(size=(5, 48))
+    hi[:, :4] = [[0.0, -0.0, 1.0, -0.0]] * 5
+    lo[:, :4] = [[-0.0, 0.0, -0.0, -0.0]] * 5
+    lo[2, 10:20] = -0.0
+    if tiny:  # outside the exact range: the batch takes dd.mul_f64
+        hi[3, 5], lo[3, 5] = 1.57998778e-312, 0.0
+    return hi, lo
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+@pytest.mark.parametrize("layer,exact", _dd_test_layers())
+def test_forward_dd_matches_rank_group_path_bitwise(layer, exact, tiny,
+                                                    monkeypatch,
+                                                    rank_group_forward_dd):
+    assert layer._dd_plan().exact == exact
+    hi, lo = _dd_test_inputs(tiny)
+    got = layer.forward_dd(hi.copy(), lo.copy())
+    assert got[0].shape == got[1].shape == (layer.units, 48)
+    want = rank_group_forward_dd(layer, hi, lo)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    # strided inputs, as the output layer receives the body values
+    got_t = layer.forward_dd(hi.T.copy().T, lo.T.copy().T)
+    assert [a.tobytes() for a in got_t] == [a.tobytes() for a in want]
+    monkeypatch.setattr(nc, "_EXACT_MIN", np.inf)
+    slow = layer.forward_dd(hi, lo)
+    assert [a.tobytes() for a in slow] == \
+        [a.tobytes() for a in rank_group_forward_dd(layer, hi, lo)]
+
+
+def test_dd_plan_sorts_rows_by_count():
+    w = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 2.0, 4.0],
+                  [0.0, 2.0, 4.0], [0.0, 0.0, 0.5]])
+    act = (nc.ACT_RELU, nc.ACT_LINEAR, nc.ACT_RELU, nc.ACT_LINEAR,
+           nc.ACT_LINEAR)
+    plan = nc.Layer(w, np.arange(5.0), act)._dd_plan()
+    assert np.argsort(plan.rank_of).tolist() == [2, 3, 0, 4, 1]
+    assert [n for n, _, _ in plan.ranks] == [4, 2, 1]
+    assert plan.ranks[1][1].tolist() == [1, 2]
+    assert plan.bias[:, 0].tolist() == [2.0, 3.0, 0.0, 4.0, 1.0]
+    assert plan.relu[:, 0].tolist() == [True, False, True, False, False]
+    assert nc.Layer(w, np.zeros(5), (nc.ACT_RELU,) * 5)._dd_plan().relu \
+        is True
+    assert nc.Layer(w, np.zeros(5), (nc.ACT_LINEAR,) * 5)._dd_plan().relu \
+        is None
 
 
 def test_evaluate_accepts_single_point():

@@ -1,5 +1,6 @@
 """Network gadgets: squaring, products, budgets, and full assembly."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -363,3 +364,22 @@ def test_assembly_round_trips_bitwise(tmp_path):
     back = nc.load_network(path)
     pts = SamplerSpec("halton", 100, seed=5).points(1)
     np.testing.assert_array_equal(back.forward(pts), net.forward(pts))
+
+
+def test_dd_body_bytes_are_pinned():
+    # hi and lo of one double-double body pass of a d=1 M=8 network on the
+    # 1025-point grid; any change to the dd layer pass that moves a bit of
+    # either limb fails here
+    bound = mi.isotropic_bound(1)
+    lam = mi.enumerate_quasi_optimal(bound, 8)
+    target = op.synthetic_expansion(bound, op.shifted_legendre(),
+                                    lam.threshold + 45.0, seed=0)
+    net, rep = synth.expansion_network(target.restrict(lam), 1.0,
+                                       precision="dd")
+    assert rep.precision == "dd"
+    body = nc.ReluNetwork(1, net.layers[:-1])
+    hi, lo = body.forward_dd(SamplerSpec("grid", 1025).points(1))
+    assert hi.shape == (1025, 7)
+    assert [hashlib.sha256(a.tobytes()).hexdigest() for a in (hi, lo)] == [
+        "5d76c85a09996eb9572b9d53f577763359e03750c201a3f01e92e1237a6fd148",
+        "ffd07fe5b856bd77d0b86c98da37afdf072046096bc731af2029feb440204f3b"]

@@ -126,6 +126,24 @@ def test_study_uses_dd_when_budgets_vanish():
     assert row.bound_rhs < 1e-12
 
 
+def test_sidecar_reports_each_row_precision(tmp_path):
+    # M=2 stays in float64; M=16 budgets fall below float64 resolution
+    rep = verify.convergence_study(mi.isotropic_bound(1),
+                                   op.shifted_legendre(), [2, 16], pvol=1.0,
+                                   seed=7, coeff_cutoff=40.0,
+                                   sampler=SamplerSpec("grid", 129))
+    assert [row.precision for row in rep.rows] == ["float64", "dd"]
+    path = tmp_path / "study.csv"
+    rep.write(path)
+    side = json.loads((tmp_path / "study.csv.json").read_text())
+    assert [row["precision"] for row in side["rows"]] == ["float64", "dd"]
+    assert side["config_echo"]["precision"] == "auto"
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh))
+    assert header == list(verify.CSV_COLUMNS)
+    assert "precision" not in header
+
+
 @pytest.mark.parametrize("d,m,seed", [(2, 3, s) for s in range(6)]
                          + [(3, 4, 0)])
 def test_study_exact_rows_pass_link_three(d, m, seed):
